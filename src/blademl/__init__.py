@@ -11,7 +11,7 @@ from .classifiers import (
     LogisticModel, MlpModel, NaiveBayesModel, TrainConfig, TreeModel,
     cross_entropy_loss, gini_impurity, load_model, logit, mlp_forward,
     mse_impurity, predict_logistic, predict_naive_bayes, predict_tree,
-    save_model, sgd_update, sigmoid, train_logistic, train_mlp,
+    save_model, sgd_update, sigmoid, train_logistic, train_mlp, train_mlps,
     train_naive_bayes, train_regression_tree, train_tree,
 )
 from .clustering import (

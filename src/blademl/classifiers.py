@@ -556,27 +556,62 @@ def mlp_forward(model: MlpModel, x) -> np.ndarray:
     return model.predict_proba(x[None, :])[0]
 
 
-def _forward_trace(model: MlpModel, x):
+# Networks train and backpropagate as stacks: weights[l] has shape
+# (m, out, in), and biases and activations are column stacks (m, size, 1).
+# np.matmul makes one BLAS gemv per network, the same call as an unstacked
+# W @ a, and every other op is elementwise or reduces within one network,
+# so each network in a stack gets exactly the bits it would get alone.
+
+
+def _stack(model: MlpModel):
+    """A one-network stack of views into `model`'s parameters."""
+    weights = [w[None] for w in model.weights]
+    return weights, [b[None, :, None] for b in model.biases]
+
+
+def _stack_forward(weights, biases, x, kind):
+    """Layer inputs, hidden pre-activations and softmax outputs (row max
+    subtracted for stability) of a stack for the column stack `x`."""
     activations = [x]
     pre_activations = []
     a = x
-    for l in range(len(model.weights) - 1):
-        z = model.weights[l] @ a + model.biases[l]
-        a = _activate(z, model.activation)
+    for l in range(len(weights) - 1):
+        z = weights[l] @ a + biases[l]
+        a = _activate(z, kind)
         pre_activations.append(z)
         activations.append(a)
-    z = model.weights[-1] @ a + model.biases[-1]
-    z = z - z.max()
+    z = weights[-1] @ a + biases[-1]
+    z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    probs = e / e.sum()
-    return activations, pre_activations, probs
+    return activations, pre_activations, e / e.sum(axis=1, keepdims=True)
+
+
+def _stack_gradients(weights, activations, pre_activations, delta, l2, kind):
+    """Backpropagate the output delta (softmax output minus one-hot target)
+    through a stack; each weight gradient adds the l2 * W penalty term."""
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        grads_w[l] = delta * activations[l].transpose(0, 2, 1)
+        grads_w[l] += l2 * weights[l]
+        grads_b[l] = delta
+        if l > 0:
+            delta = (weights[l].transpose(0, 2, 1) @ delta) * _activation_grad(
+                pre_activations[l - 1], activations[l], kind
+            )
+    return grads_w, grads_b
 
 
 def mlp_loss(model: MlpModel, x, class_index: int, l2: float) -> float:
     """Per-sample objective: cross-entropy of the softmax output plus
     (l2 / 2) * sum of squared weights (biases unpenalized)."""
-    _, _, probs = _forward_trace(model, np.asarray(x, dtype=np.float64))
-    ce = -math.log(float(np.clip(probs[class_index], PROB_CLIP, 1.0 - PROB_CLIP)))
+    weights, biases = _stack(model)
+    x = np.asarray(x, dtype=np.float64)
+    _, _, probs = _stack_forward(
+        weights, biases, x[None, :, None], model.activation
+    )
+    p = probs[0, class_index, 0]
+    ce = -math.log(float(np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)))
     penalty = 0.5 * l2 * sum(float((w ** 2).sum()) for w in model.weights)
     return ce + penalty
 
@@ -588,20 +623,17 @@ def mlp_gradients(model: MlpModel, x, class_index: int, l2: float):
     deltas chain through the activation derivative; each weight gradient
     adds the l2 * W penalty term.
     """
+    weights, biases = _stack(model)
     x = np.asarray(x, dtype=np.float64)
-    activations, pre_activations, probs = _forward_trace(model, x)
+    activations, pre_activations, probs = _stack_forward(
+        weights, biases, x[None, :, None], model.activation
+    )
     delta = probs.copy()
-    delta[class_index] -= 1.0
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    for l in range(len(model.weights) - 1, -1, -1):
-        grads_w[l] = np.outer(delta, activations[l]) + l2 * model.weights[l]
-        grads_b[l] = delta
-        if l > 0:
-            delta = (model.weights[l].T @ delta) * _activation_grad(
-                pre_activations[l - 1], activations[l], model.activation
-            )
-    return grads_w, grads_b
+    delta[0, class_index, 0] -= 1.0
+    grads_w, grads_b = _stack_gradients(
+        weights, activations, pre_activations, delta, l2, model.activation
+    )
+    return [g[0] for g in grads_w], [g[0, :, 0] for g in grads_b]
 
 
 def cross_entropy_loss(predicted, actual: str, class_names: list[str]) -> float:
@@ -637,30 +669,112 @@ def _sgd_step_checked(params, gradient, rate):
     return float(out) if out.ndim == 0 else out
 
 
-def train_mlp(ds: LabeledDataset, cfg: TrainConfig | None = None) -> MlpModel:
-    """Train by per-sample SGD: seeded init, per-epoch Fisher-Yates shuffle
-    from the same SplitMix64 stream, one backprop update per row."""
+def train_mlps(
+    datasets: list[LabeledDataset], cfg: TrainConfig | None = None
+) -> list[MlpModel]:
+    """Train one network per training set, all in one per-sample SGD loop.
+
+    Each network trains exactly as it would alone: seeded init, per-epoch
+    Fisher-Yates shuffle from the same SplitMix64 stream, one backprop
+    update per row.  Every step updates all networks that still have a row
+    left in the current epoch with one batched op per layer.  The weights
+    are checked once per epoch: a non-finite value raises ValueError naming
+    the epoch and the first diverged training set by its index, which is
+    its fold when the sets are cross-validation training parts.
+    """
     cfg = cfg or TrainConfig()
-    if len(ds.class_names) < 2:
+    if not datasets:
+        raise ValueError("MLP training needs at least one training set")
+    classes = list(datasets[0].class_names)
+    if len(classes) < 2:
         raise ValueError("MLP training requires at least 2 classes")
-    X = ds.X
-    _check_finite(X)
+    width = datasets[0].X.shape[1]
+    for ds in datasets:
+        if list(ds.class_names) != classes or ds.X.shape[1] != width:
+            raise ValueError("training sets must share classes and features")
+        _check_finite(ds.X)
     rate = cfg.resolved("learning_rate", MLP_DEFAULTS)
     limit = cfg.resolved("limit", MLP_DEFAULTS)
     l2 = cfg.resolved("l2", MLP_DEFAULTS)
     hidden = cfg.resolved("hidden", MLP_DEFAULTS)
     activation = cfg.resolved("activation", MLP_DEFAULTS)
 
-    sizes = [X.shape[1], *hidden, len(ds.class_names)]
+    sizes = [width, *hidden, len(classes)]
     rng = SplitMix64(cfg.seed)
-    model = init_mlp(list(ds.class_names), sizes, activation, rng)
-    y = ds.y
-    for _ in range(limit):
-        for i in shuffled_indices(ds.n, rng):
-            grads_w, grads_b = mlp_gradients(model, X[i], int(y[i]), l2)
-            model.weights = sgd_update(model.weights, grads_w, rate)
-            model.biases = sgd_update(model.biases, grads_b, rate)
-    return model
+    init = init_mlp(classes, sizes, activation, rng)
+
+    # Slots hold the networks largest training set first, so the networks
+    # with a row left at step t of an epoch are always slots [:m].
+    order = sorted(range(len(datasets)), key=lambda i: -datasets[i].n)
+    counts = [datasets[i].n for i in order]
+    k = len(order)
+    longest = counts[0]
+    # A network's shuffles depend only on its row count, so networks of
+    # equal size share one stream, each starting where init left the rng.
+    streams = {n: SplitMix64(rng.state) for n in counts}
+    # Runs of steps [start, stop) over which m networks are active.
+    segments = []
+    for t in range(longest):
+        m = sum(n > t for n in counts)
+        if segments and segments[-1][0] == m:
+            segments[-1][2] = t + 1
+        else:
+            segments.append([m, t, t + 1])
+
+    weights = [np.repeat(w[None], k, axis=0) for w in init.weights]
+    biases = [np.repeat(b[None, :, None], k, axis=0) for b in init.biases]
+    # inputs[t, s] and targets[t, s] hold slot s's row at step t of an epoch.
+    inputs = np.zeros((longest, k, width, 1))
+    targets = np.zeros((longest, k, len(classes), 1))
+    onehot = np.eye(len(classes))
+    # Divergence is reported by the per-epoch check, not numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(limit):
+            shuffles = {n: shuffled_indices(n, s) for n, s in streams.items()}
+            for slot, i in enumerate(order):
+                rows = shuffles[counts[slot]]
+                inputs[:counts[slot], slot, :, 0] = datasets[i].X[rows]
+                targets[:counts[slot], slot, :, 0] = onehot[datasets[i].y[rows]]
+            for m, start, stop in segments:
+                ws = [w[:m] for w in weights]
+                bs = [b[:m] for b in biases]
+                steps = zip(inputs[start:stop, :m], targets[start:stop, :m])
+                for x, target in steps:
+                    activations, pre_activations, probs = _stack_forward(
+                        ws, bs, x, activation
+                    )
+                    grads_w, grads_b = _stack_gradients(
+                        ws, activations, pre_activations, probs - target, l2,
+                        activation,
+                    )
+                    for w, g in zip(ws, grads_w):
+                        g *= rate
+                        w -= g
+                    for b, g in zip(bs, grads_b):
+                        b -= rate * g
+            finite = np.ones(k, dtype=bool)
+            for p in (*weights, *biases):
+                finite &= np.isfinite(p).all(axis=(1, 2))
+            if not finite.all():
+                fold = min(order[s] for s in np.flatnonzero(~finite))
+                raise ValueError(
+                    f"fold {fold}: MLP weights became non-finite in epoch "
+                    f"{epoch + 1} of {limit}"
+                )
+
+    models = [None] * k
+    for slot, i in enumerate(order):
+        models[i] = MlpModel(
+            classes, list(sizes), [w[slot].copy() for w in weights],
+            [b[slot, :, 0].copy() for b in biases], activation,
+        )
+    return models
+
+
+def train_mlp(ds: LabeledDataset, cfg: TrainConfig | None = None) -> MlpModel:
+    """Train by per-sample SGD: seeded init, per-epoch Fisher-Yates shuffle
+    from the same SplitMix64 stream, one backprop update per row."""
+    return train_mlps([ds], cfg)[0]
 
 
 # ---------------------------------------------------------------------------

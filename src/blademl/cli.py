@@ -307,6 +307,13 @@ def cmd_cluster(args) -> int:
         print("error: give only one of --cut-count/--cut-height",
               file=sys.stderr)
         return 2
+    if args.cut_count is not None and not 1 <= args.cut_count <= matrix.n:
+        print(f"error: --cut-count must lie in [1, {matrix.n}]",
+              file=sys.stderr)
+        return 2
+    if args.cut_height is not None and not args.cut_height >= 0.0:
+        print("error: --cut-height must be nonnegative", file=sys.stderr)
+        return 2
     distances = pairwise_distances(matrix, args.metric, args.normalize)
     dendrogram = agglomerate(distances, args.linkage, matrix.ids)
     os.makedirs(args.out_dir, exist_ok=True)

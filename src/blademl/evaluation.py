@@ -265,14 +265,16 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
 
-def train_spec(spec: ModelSpec, ds: LabeledDataset):
+def train_folds(spec: ModelSpec, datasets: list[LabeledDataset]) -> list:
+    """One model per training set; the networks of an mlp spec train
+    together in one lockstep SGD loop."""
     if spec.kind == "tree":
-        return classifiers.train_tree(ds, spec.config)
+        return [classifiers.train_tree(ds, spec.config) for ds in datasets]
     if spec.kind == "nb":
-        return classifiers.train_naive_bayes(ds)
+        return [classifiers.train_naive_bayes(ds) for ds in datasets]
     if spec.kind == "logreg":
-        return classifiers.train_logistic(ds, spec.config)
-    return classifiers.train_mlp(ds, spec.config)
+        return [classifiers.train_logistic(ds, spec.config) for ds in datasets]
+    return classifiers.train_mlps(datasets, spec.config)
 
 
 @dataclass
@@ -292,9 +294,8 @@ class EvaluationReport:
     predicted: dict
 
 
-def _suite_from_predictions(probs, actual, classes) -> MetricSuite:
-    predicted = [classes[int(np.argmax(row))] for row in probs]
-    cm = confusion_matrix(actual, predicted, classes)
+def _suite_from_predictions(probs, actual, cm: ConfusionMatrix) -> MetricSuite:
+    classes = cm.classes
     m = classification_metrics(cm)
     return MetricSuite(
         auc=auc(probs, actual, classes),
@@ -315,7 +316,7 @@ def cross_validate(
     training part, and probabilities are predicted on the standardized
     fold.  Argmax ties resolve to the earliest class.  Raises
     ProtocolError naming the fold and class if any training part misses
-    a class.
+    a class, and ValueError naming the model if its training fails.
     """
     if len(ds.class_names) < 2:
         raise ValueError("cross-validation requires at least 2 classes")
@@ -341,18 +342,25 @@ def cross_validate(
     fold_scores = {}
     oof = {}
     predicted_labels = {}
+    fold_sets = []
+    held_out = []
+    for f in range(folds.k):
+        train_ds = ds.subset(folds.train_indices(f))
+        norm_matrix, params = zscore_normalize(train_ds.matrix)
+        fold_sets.append(LabeledDataset(norm_matrix, train_ds.class_names))
+        held_out.append(params.apply(ds.X[folds.test_indices(f)]))
+
     for spec in specs:
+        try:
+            models = train_folds(spec, fold_sets)
+        except ValueError as exc:
+            raise ValueError(f"model {spec.name!r}: {exc}") from exc
         probs = np.zeros((ds.n, len(classes)))
-        for f in range(folds.k):
-            train_idx = folds.train_indices(f)
-            test_idx = folds.test_indices(f)
-            train_ds = ds.subset(train_idx)
-            norm_matrix, params = zscore_normalize(train_ds.matrix)
-            model = train_spec(spec, LabeledDataset(norm_matrix, train_ds.class_names))
-            probs[test_idx] = model.predict_proba(params.apply(ds.X[test_idx]))
+        for f, model in enumerate(models):
+            probs[folds.test_indices(f)] = model.predict_proba(held_out[f])
         predicted = [classes[int(np.argmax(row))] for row in probs]
         cm = confusion_matrix(actual, predicted, classes)
-        suites[spec.name] = _suite_from_predictions(probs, actual, classes)
+        suites[spec.name] = _suite_from_predictions(probs, actual, cm)
         confusions[spec.name] = cm
         oof[spec.name] = probs
         predicted_labels[spec.name] = predicted
@@ -361,8 +369,11 @@ def cross_validate(
         for f in range(folds.k):
             test_idx = folds.test_indices(f)
             fold_actual = [actual[i] for i in test_idx]
+            fold_cm = confusion_matrix(
+                fold_actual, [predicted[i] for i in test_idx], classes
+            )
             fold_suite = _suite_from_predictions(
-                probs[test_idx], fold_actual, classes
+                probs[test_idx], fold_actual, fold_cm
             )
             for name in METRIC_NAMES:
                 per_metric[name].append(getattr(fold_suite, name))

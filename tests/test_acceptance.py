@@ -7,10 +7,12 @@ budget and compares against the independent references in oracles.py.
 
 import csv
 import filecmp
+import hashlib
 import math
 import os
 import shutil
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -72,6 +74,10 @@ TABLE_COLUMNS = ("auc", "ca", "f1", "precision", "recall", "mcc")
 COMPARISON_FILES = ("auc", "ca", "f1", "precision", "recall", "specificity",
                     "log_loss")
 MODELS = ("tree", "nb", "logreg", "mlp")
+# sha256 of every artefact of the acceptance run (gen seed 42, evaluate
+# seed 7), pinned by the benchmark; the test only reads it.
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / \
+    "acceptance.sha256"
 
 
 def _uniforms(seed, count):
@@ -333,6 +339,24 @@ def test_a4_pipeline(corpus):
                 if a == b:
                     continue
                 assert float(cells[(a, b)]) + float(cells[(b, a)]) == 1.0
+
+
+def test_acceptance_golden_digests(corpus):
+    # features.csv is left out: its `# images:` line records the absolute
+    # corpus path of this run.
+    pinned = dict(
+        (rel, digest) for digest, rel in
+        (line.split(None, 1) for line in GOLDEN.read_text().splitlines())
+    )
+    del pinned["features.csv"]
+    got = {}
+    for prefix, directory in (("corpus", corpus.images),
+                              ("reports", corpus.reports),
+                              ("clusters", corpus.clusters)):
+        for name in os.listdir(directory):
+            data = (directory / name).read_bytes()
+            got[f"{prefix}/{name}"] = hashlib.sha256(data).hexdigest()
+    assert got == pinned
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,14 @@ from blademl.classifiers import (
     sigmoid,
     train_logistic,
     train_mlp,
+    train_mlps,
     train_naive_bayes,
     train_regression_tree,
     train_tree,
 )
 from blademl.dataset import LabeledDataset
 from blademl.features import FeatureMatrix
-from blademl.rng import SplitMix64
+from blademl.rng import SplitMix64, shuffled_indices
 
 from oracles import best_root_split_ref, splitmix64_stream, uniform_from_u64
 
@@ -516,6 +517,86 @@ def test_train_mlp_seed_determinism():
     assert model_to_json(a) == model_to_json(b)
     c = train_mlp(ds, TrainConfig(limit=5, seed=12))
     assert model_to_json(a) != model_to_json(c)
+
+
+def _per_sample_reference(ds, cfg):
+    """One network at a time, one unstacked forward pass, backprop and
+    sgd_update per row: the loop the lockstep trainer must reproduce."""
+    activate = {"relu": lambda z: np.maximum(z, 0.0), "sigmoid": sigmoid,
+                "tanh": np.tanh}[cfg.activation]
+
+    def slope(z, a):
+        if cfg.activation == "relu":
+            return (z > 0.0).astype(np.float64)
+        if cfg.activation == "sigmoid":
+            return a * (1.0 - a)
+        return 1.0 - a ** 2
+
+    rng = SplitMix64(cfg.seed)
+    sizes = [ds.X.shape[1], *cfg.hidden, len(ds.class_names)]
+    model = init_mlp(list(ds.class_names), sizes, cfg.activation, rng)
+    for _ in range(cfg.limit):
+        for i in shuffled_indices(ds.n, rng):
+            W, b = model.weights, model.biases
+            activations, pre = [ds.X[i]], []
+            for l in range(len(W) - 1):
+                pre.append(W[l] @ activations[-1] + b[l])
+                activations.append(activate(pre[-1]))
+            z = W[-1] @ activations[-1] + b[-1]
+            e = np.exp(z - z.max())
+            delta = e / e.sum()
+            delta[ds.y[i]] -= 1.0
+            grads_w, grads_b = [None] * len(W), [None] * len(W)
+            for l in range(len(W) - 1, -1, -1):
+                grads_w[l] = np.outer(delta, activations[l]) + cfg.l2 * W[l]
+                grads_b[l] = delta
+                if l > 0:
+                    delta = (W[l].T @ delta) * slope(pre[l - 1], activations[l])
+            model.weights = sgd_update(W, grads_w, cfg.learning_rate)
+            model.biases = sgd_update(b, grads_b, cfg.learning_rate)
+    return model
+
+
+@pytest.mark.parametrize("activation,hidden", [
+    ("relu", (5,)), ("sigmoid", (5,)), ("tanh", (5,)), ("relu", (5, 4)),
+])
+def test_train_mlps_lockstep_matches_solo(activation, hidden):
+    u = _uniforms(61, 40 * 3)
+    X = (np.array(u).reshape(40, 3) - 0.5) * 4.0
+    labels = ["a", "b", "c", "d"] * 10
+    # Unequal row counts, one repeated, in no particular order.
+    sets = [_dataset(X[rows], labels[:len(rows)]) for rows in (
+        range(0, 20), range(20, 39), range(3, 20), range(10, 30),
+    )]
+    cfg = TrainConfig(learning_rate=0.05, limit=4, l2=1e-3, hidden=hidden,
+                      activation=activation, seed=8)
+    lockstep = train_mlps(sets, cfg)
+    for ds, model in zip(sets, lockstep):
+        text = model_to_json(model)
+        assert text == model_to_json(train_mlp(ds, cfg))
+        assert text == model_to_json(_per_sample_reference(ds, cfg))
+
+
+def test_train_mlps_validation():
+    a = _dataset([[0.0], [1.0]], ["p", "q"])
+    with pytest.raises(ValueError, match="at least one"):
+        train_mlps([])
+    with pytest.raises(ValueError, match="share classes"):
+        train_mlps([a, _dataset([[0.0], [1.0]], ["q", "p"])])
+    with pytest.raises(ValueError, match="share classes"):
+        train_mlps([a, _dataset([[0.0, 1.0], [1.0, 0.0]], ["p", "q"])])
+
+
+def test_train_mlps_nonfinite_names_fold_and_epoch():
+    u = _uniforms(62, 20)
+    # Only the larger second set diverges: its features overflow the
+    # first forward passes.
+    sets = [
+        _dataset(np.array(u[:8]).reshape(4, 2), ["p", "q"] * 2),
+        _dataset(np.array(u[8:]).reshape(6, 2) * 1e200, ["p", "q"] * 3),
+    ]
+    with pytest.raises(ValueError, match=r"^fold 1: .* non-finite in epoch 1 of 3$"):
+        train_mlps(sets, TrainConfig(limit=3, seed=1))
 
 
 def test_train_config_defaults_frozen():

@@ -7,6 +7,7 @@ stdout/stderr are observable without spawning subprocesses.
 import csv
 import filecmp
 import os
+import warnings
 
 import pytest
 
@@ -208,6 +209,31 @@ def test_cluster_rejects_both_cut_flags(pipeline, tmp_path, capsys):
                "--out-dir", tmp_path / "c",
                "--cut-count", 2, "--cut-height", 1.0) == 2
     assert "only one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--cut-count", 0), ("--cut-count", 19), ("--cut-height", -1.0),
+])
+def test_cluster_bad_cut_writes_nothing(pipeline, tmp_path, capsys, flags):
+    out = tmp_path / "c"
+    assert run("cluster", "--features", pipeline / "features.csv",
+               "--out-dir", out, *flags) == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_diverging_mlp_exit_1(pipeline, tmp_path, capsys):
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run("evaluate", "--features", pipeline / "features.csv",
+                   "--out-dir", out, "--k", 2, "--models", "mlp",
+                   "--mlp-epochs", 2, "--mlp-rate", 1e300)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: model 'mlp': fold 0: MLP weights became non-finite " \
+        "in epoch 1 of 2" in err
+    assert not out.exists()
 
 
 def test_evaluate_rejects_unknown_model(pipeline, tmp_path, capsys):
