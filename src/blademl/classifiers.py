@@ -165,7 +165,8 @@ def train_logistic(ds: LabeledDataset, cfg: TrainConfig | None = None) -> Logist
 
     Deterministic: coefficients start at zero and descend with a fixed step
     until the gradient infinity-norm drops below the tolerance or the
-    iteration limit is reached.
+    iteration limit is reached.  A non-finite gradient raises ValueError
+    naming the class and the iteration.
     """
     cfg = cfg or TrainConfig()
     if len(ds.class_names) < 2:
@@ -180,19 +181,27 @@ def train_logistic(ds: LabeledDataset, cfg: TrainConfig | None = None) -> Logist
     k = len(ds.class_names)
     intercepts = np.zeros(k)
     coefficients = np.zeros((k, X.shape[1]))
-    for c in range(k):
-        targets = (ds.y == c).astype(np.float64)
-        intercept = 0.0
-        weights = np.zeros(X.shape[1])
-        for _ in range(limit):
-            g0, gw = logistic_gradient(intercept, weights, X, targets, l2)
-            gw_max = float(np.abs(gw).max()) if gw.size else 0.0
-            if max(abs(g0), gw_max) < tolerance:
-                break
-            intercept -= rate * g0
-            weights -= rate * gw
-        intercepts[c] = intercept
-        coefficients[c] = weights
+    # Divergence is reported by the gradient check, not numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(k):
+            targets = (ds.y == c).astype(np.float64)
+            intercept = 0.0
+            weights = np.zeros(X.shape[1])
+            for iteration in range(limit):
+                g0, gw = logistic_gradient(intercept, weights, X, targets, l2)
+                gw_max = float(np.abs(gw).max()) if gw.size else 0.0
+                if not (math.isfinite(g0) and math.isfinite(gw_max)):
+                    raise ValueError(
+                        f"logistic gradient for class {ds.class_names[c]!r} "
+                        f"became non-finite in iteration {iteration + 1} "
+                        f"of {limit}"
+                    )
+                if max(abs(g0), gw_max) < tolerance:
+                    break
+                intercept -= rate * g0
+                weights -= rate * gw
+            intercepts[c] = intercept
+            coefficients[c] = weights
     return LogisticModel(list(ds.class_names), intercepts, coefficients)
 
 
@@ -258,15 +267,30 @@ class TreeModel:
         return np.array([predict_tree(self, row) for row in np.asarray(X)])
 
 
-def _class_split(X, y, k, n, min_leaf, parent_impurity):
+def _gini_children(counts, sizes):
+    """Gini impurity 1 - sum((count / size)^2) per candidate child."""
+    return 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
+
+
+def _mse_children(sums, sizes):
+    """Biased variance sum(y^2)/size - (sum(y)/size)^2 per candidate child,
+    clipped at 0; sums holds the (sum(y), sum(y^2)) columns."""
+    return np.maximum(sums[:, 1] / sizes - (sums[:, 0] / sizes) ** 2, 0.0)
+
+
+def _best_split(X, stats, child_impurity, min_leaf, parent_impurity):
     """Best (decrease, feature, threshold) over all midpoint candidates.
 
-    decrease = parent - (n_l / n) * gini_l - (n_r / n) * gini_r, with child
-    ginis computed from integer class counts as 1 - sum((count / size)^2).
+    stats holds one row of additive statistics per sample (one-hot classes,
+    or the target and its square).  For each feature, the left children's
+    sums are prefix sums in sorted order and the right children's are the
+    totals minus those; child_impurity(sums, sizes) scores them all.
+    decrease = parent - (n_l / n) * impurity_l - (n_r / n) * impurity_r.
     Ties: lowest feature index, then lowest threshold (strict > acceptance
     over ascending candidates).  Splits leaving a child below min_leaf are
     invalid.
     """
+    n = X.shape[0]
     best_decrease = 0.0
     best_feature = None
     best_threshold = None
@@ -279,54 +303,15 @@ def _class_split(X, y, k, n, min_leaf, parent_impurity):
         valid = distinct & (sizes_left >= min_leaf) & (sizes_right >= min_leaf)
         if not valid.any():
             continue
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), y[order]] = 1.0
-        counts_left = np.cumsum(onehot, axis=0)[:-1]
-        counts_right = counts_left[-1] + onehot[-1] - counts_left
-        gini_left = 1.0 - ((counts_left / sizes_left[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - ((counts_right / sizes_right[:, None]) ** 2).sum(axis=1)
+        ordered = stats[order]
+        prefix = np.cumsum(ordered, axis=0)[:-1]
+        # A 1-D (pairwise) sum per column: a 2-D axis-0 sum adds in another
+        # order and moves the regression thresholds' bits.
+        totals = np.array([column.sum() for column in ordered.T])
         decrease = (
             parent_impurity
-            - (sizes_left / n) * gini_left
-            - (sizes_right / n) * gini_right
-        )
-        decrease[~valid] = -np.inf
-        i = int(np.argmax(decrease))
-        if decrease[i] > best_decrease:
-            best_decrease = float(decrease[i])
-            best_feature = j
-            best_threshold = (xs[i] + xs[i + 1]) / 2.0
-    return best_decrease, best_feature, best_threshold
-
-
-def _mse_split(X, targets, n, min_leaf, parent_impurity):
-    """Regression analogue of _class_split; child impurity is the biased
-    variance computed as sum(y^2)/size - (sum(y)/size)^2, clipped at 0."""
-    best_decrease = 0.0
-    best_feature = None
-    best_threshold = None
-    sizes_left = np.arange(1, n, dtype=np.float64)
-    sizes_right = n - sizes_left
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="mergesort")
-        xs = X[order, j]
-        ys = targets[order]
-        distinct = xs[1:] > xs[:-1]
-        valid = distinct & (sizes_left >= min_leaf) & (sizes_right >= min_leaf)
-        if not valid.any():
-            continue
-        cum = np.cumsum(ys)[:-1]
-        cum2 = np.cumsum(ys ** 2)[:-1]
-        total = float(ys.sum())
-        total2 = float((ys ** 2).sum())
-        mse_left = np.maximum(cum2 / sizes_left - (cum / sizes_left) ** 2, 0.0)
-        mse_right = np.maximum(
-            (total2 - cum2) / sizes_right - ((total - cum) / sizes_right) ** 2, 0.0
-        )
-        decrease = (
-            parent_impurity
-            - (sizes_left / n) * mse_left
-            - (sizes_right / n) * mse_right
+            - (sizes_left / n) * child_impurity(prefix, sizes_left)
+            - (sizes_right / n) * child_impurity(totals - prefix, sizes_right)
         )
         decrease[~valid] = -np.inf
         i = int(np.argmax(decrease))
@@ -346,18 +331,19 @@ def _grow(X, y, k, depth, max_depth, min_leaf, classification):
         )
         impurity = 1.0 - ((counts / n) ** 2).sum()
         pure = int(counts.max()) == n
+        stats = np.eye(k)[y]
+        child_impurity = _gini_children
     else:
         leaf = TreeNode(n=n, mean=float(y.mean()))
         impurity = mse_impurity(y)
         pure = impurity == 0.0
+        stats = np.column_stack((y, y ** 2))
+        child_impurity = _mse_children
     if depth >= max_depth or pure or n < 2 * min_leaf:
         return leaf
-    if classification:
-        decrease, feature, threshold = _class_split(
-            X, y, k, n, min_leaf, impurity
-        )
-    else:
-        decrease, feature, threshold = _mse_split(X, y, n, min_leaf, impurity)
+    decrease, feature, threshold = _best_split(
+        X, stats, child_impurity, min_leaf, impurity
+    )
     if feature is None or decrease <= 0.0:
         return leaf
     mask = X[:, feature] <= threshold

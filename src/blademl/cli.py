@@ -9,7 +9,6 @@ produced them.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -29,6 +28,7 @@ from .evaluation import (
 )
 from .features import FeatureMatrix, extract_features, read_features_csv, \
     write_features_csv, FEATURE_COLUMNS
+from .fmt import metadata_lines, read_csv
 from .raster import load_ppm
 from .synthgen import CLASS_NAMES, GenConfig, generate_dataset
 
@@ -162,10 +162,7 @@ def cmd_gen(args) -> int:
 
 
 def _read_labels(path) -> list[tuple[str, str]]:
-    with open(path, "r", newline="") as handle:
-        rows = list(
-            csv.reader(line for line in handle if not line.startswith("#"))
-        )
+    rows = read_csv(path)
     if not rows or rows[0][:2] != ["id", "label"]:
         raise ValueError(f"{path}: expected id,label header")
     entries = []
@@ -328,9 +325,7 @@ def cmd_cluster(args) -> int:
     )
     text = export_dendrogram(dendrogram, "text")
     with open(os.path.join(args.out_dir, "dendrogram.txt"), "w") as handle:
-        for key, value in meta.items():
-            handle.write(f"# {key}: {value}\n")
-        handle.write(text)
+        handle.write(metadata_lines(meta) + text)
     with open(os.path.join(args.out_dir, "dendrogram.nwk"), "w") as handle:
         handle.write(export_dendrogram(dendrogram, "newick") + "\n")
 

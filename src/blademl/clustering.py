@@ -10,13 +10,12 @@ four linkages height-monotone.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import FeatureMatrix, zscore_normalize
-from .fmt import fmt17
+from .fmt import fmt17, write_csv
 
 METRICS = ("euclidean", "cosine")
 LINKAGES = ("single", "complete", "average", "ward")
@@ -318,13 +317,8 @@ def write_distance_csv(
     if len(ids) != d.n:
         raise ValueError("ids must cover every row")
     full = d.full()
-    with open(path, "w", newline="") as handle:
-        for key, value in (metadata or {}).items():
-            handle.write(f"# {key}: {value}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", *ids])
-        for i, row_id in enumerate(ids):
-            writer.writerow([row_id, *(fmt17(v) for v in full[i])])
+    rows = ([row_id, *(fmt17(v) for v in full[i])] for i, row_id in enumerate(ids))
+    write_csv(path, ["id", *ids], rows, metadata)
 
 
 def write_assignment_csv(
@@ -333,10 +327,5 @@ def write_assignment_csv(
     """`id,cluster` rows."""
     if len(ids) != assignment.labels.size:
         raise ValueError("ids must cover every row")
-    with open(path, "w", newline="") as handle:
-        for key, value in (metadata or {}).items():
-            handle.write(f"# {key}: {value}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "cluster"])
-        for row_id, label in zip(ids, assignment.labels):
-            writer.writerow([row_id, int(label)])
+    rows = ([row_id, int(label)] for row_id, label in zip(ids, assignment.labels))
+    write_csv(path, ["id", "cluster"], rows, metadata)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import FeatureMatrix, read_features_csv
+from .fmt import write_csv
 from .rng import SplitMix64, shuffled_indices
 
 
@@ -145,10 +145,5 @@ def write_folds_csv(
     """Export `id,fold` rows for auditability."""
     if len(ids) != assignment.fold_of.size:
         raise ValueError("ids and fold assignment must have equal length")
-    with open(path, "w", newline="") as handle:
-        for key, value in (metadata or {}).items():
-            handle.write(f"# {key}: {value}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "fold"])
-        for row_id, fold in zip(ids, assignment.fold_of):
-            writer.writerow([row_id, int(fold)])
+    rows = ([row_id, int(fold)] for row_id, fold in zip(ids, assignment.fold_of))
+    write_csv(path, ["id", "fold"], rows, metadata)

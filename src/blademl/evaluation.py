@@ -9,7 +9,6 @@ beats the column model, ties counted half).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from . import classifiers
 from .classifiers import TrainConfig, cross_entropy_loss
 from .dataset import FoldAssignment, LabeledDataset
 from .features import zscore_normalize
-from .fmt import fmt17
+from .fmt import fmt17, write_csv
 
 METRIC_NAMES = (
     "auc", "ca", "f1", "precision", "recall", "specificity", "mcc", "log_loss"
@@ -267,14 +266,22 @@ class ModelSpec:
 
 def train_folds(spec: ModelSpec, datasets: list[LabeledDataset]) -> list:
     """One model per training set; the networks of an mlp spec train
-    together in one lockstep SGD loop."""
-    if spec.kind == "tree":
-        return [classifiers.train_tree(ds, spec.config) for ds in datasets]
-    if spec.kind == "nb":
-        return [classifiers.train_naive_bayes(ds) for ds in datasets]
-    if spec.kind == "logreg":
-        return [classifiers.train_logistic(ds, spec.config) for ds in datasets]
-    return classifiers.train_mlps(datasets, spec.config)
+    together in one lockstep SGD loop.  A training error is prefixed with
+    `fold F:`, F being the index of the training set that failed."""
+    if spec.kind == "mlp":
+        return classifiers.train_mlps(datasets, spec.config)
+    models = []
+    for f, ds in enumerate(datasets):
+        try:
+            if spec.kind == "tree":
+                models.append(classifiers.train_tree(ds, spec.config))
+            elif spec.kind == "nb":
+                models.append(classifiers.train_naive_bayes(ds))
+            else:
+                models.append(classifiers.train_logistic(ds, spec.config))
+        except ValueError as exc:
+            raise ValueError(f"fold {f}: {exc}") from exc
+    return models
 
 
 @dataclass
@@ -423,41 +430,29 @@ def compare_models(fold_scores: list[FoldScores]) -> tuple[list[str], np.ndarray
 # CSV writers
 
 
-def _write_metadata(handle, metadata: dict | None) -> None:
-    for key, value in (metadata or {}).items():
-        handle.write(f"# {key}: {value}\n")
-
-
 def write_report_csv(report: EvaluationReport, path, metadata=None) -> None:
     """`model,auc,ca,f1,precision,recall,mcc,specificity,log_loss` rows."""
-    with open(path, "w", newline="") as handle:
-        _write_metadata(handle, metadata)
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["model", "auc", "ca", "f1", "precision", "recall", "mcc",
-             "specificity", "log_loss"]
-        )
-        for name in report.model_names:
-            s = report.suites[name]
-            writer.writerow(
-                [name, fmt17(s.auc), fmt17(s.ca), fmt17(s.f1),
-                 fmt17(s.precision), fmt17(s.recall), fmt17(s.mcc),
-                 fmt17(s.specificity), fmt17(s.log_loss)]
-            )
+    header = ["model", "auc", "ca", "f1", "precision", "recall", "mcc",
+              "specificity", "log_loss"]
+    rows = (
+        [name, *(fmt17(getattr(report.suites[name], metric))
+                 for metric in header[1:])]
+        for name in report.model_names
+    )
+    write_csv(path, header, rows, metadata)
 
 
 def write_confusion_csv(cm: ConfusionMatrix, path, metadata=None) -> None:
     """Counts block then row-proportion block, class names as headers."""
-    with open(path, "w", newline="") as handle:
-        _write_metadata(handle, metadata)
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["counts", *cm.classes])
-        for i, name in enumerate(cm.classes):
-            writer.writerow([name, *(int(v) for v in cm.counts[i])])
-        writer.writerow(["proportions", *cm.classes])
-        proportions = cm.proportions
-        for i, name in enumerate(cm.classes):
-            writer.writerow([name, *(fmt17(v) for v in proportions[i])])
+    proportions = cm.proportions
+    rows = [
+        *([name, *(int(v) for v in cm.counts[i])]
+          for i, name in enumerate(cm.classes)),
+        ["proportions", *cm.classes],
+        *([name, *(fmt17(v) for v in proportions[i])]
+          for i, name in enumerate(cm.classes)),
+    ]
+    write_csv(path, ["counts", *cm.classes], rows, metadata)
 
 
 def write_predictions_csv(
@@ -466,43 +461,34 @@ def write_predictions_csv(
     """`id,fold,actual,predicted,p_<class>...` pooled out-of-fold rows."""
     probs = report.oof_probs[model_name]
     predicted = report.predicted[model_name]
-    with open(path, "w", newline="") as handle:
-        _write_metadata(handle, metadata)
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["id", "fold", "actual", "predicted",
-             *(f"p_{c}" for c in report.class_names)]
-        )
-        for i, row_id in enumerate(report.ids):
-            writer.writerow(
-                [row_id, int(report.folds.fold_of[i]), report.actual[i],
-                 predicted[i], *(fmt17(v) for v in probs[i])]
-            )
+    header = ["id", "fold", "actual", "predicted",
+              *(f"p_{c}" for c in report.class_names)]
+    rows = (
+        [row_id, int(report.folds.fold_of[i]), report.actual[i],
+         predicted[i], *(fmt17(v) for v in probs[i])]
+        for i, row_id in enumerate(report.ids)
+    )
+    write_csv(path, header, rows, metadata)
 
 
 def write_fold_scores_csv(report: EvaluationReport, path, metadata=None) -> None:
     """One row per (model, metric) with k per-fold value columns."""
-    k = report.folds.k
-    with open(path, "w", newline="") as handle:
-        _write_metadata(handle, metadata)
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["model", "metric", *(f"fold{j}" for j in range(k))])
-        for name in report.model_names:
-            for metric in METRIC_NAMES:
-                values = report.fold_scores[(name, metric)].values
-                writer.writerow([name, metric, *(fmt17(v) for v in values)])
+    header = ["model", "metric", *(f"fold{j}" for j in range(report.folds.k))]
+    rows = (
+        [name, metric,
+         *(fmt17(v) for v in report.fold_scores[(name, metric)].values)]
+        for name in report.model_names for metric in METRIC_NAMES
+    )
+    write_csv(path, header, rows, metadata)
 
 
 def write_comparison_csv(
     names: list[str], matrix: np.ndarray, path, metadata=None
 ) -> None:
     """Square fold-win table; the diagonal is left empty."""
-    with open(path, "w", newline="") as handle:
-        _write_metadata(handle, metadata)
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["model", *names])
-        for i, name in enumerate(names):
-            row = [name]
-            for j in range(len(names)):
-                row.append("" if i == j else fmt17(matrix[i, j]))
-            writer.writerow(row)
+    rows = (
+        [name, *("" if i == j else fmt17(matrix[i, j])
+                 for j in range(len(names)))]
+        for i, name in enumerate(names)
+    )
+    write_csv(path, ["model", *names], rows, metadata)

@@ -19,12 +19,11 @@ clustering, CSV files) agrees on column meaning:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fmt import fmt17
+from .fmt import fmt17, read_csv, write_csv
 from .raster import Raster, to_grayscale
 
 FEATURE_COUNT = 37
@@ -206,26 +205,21 @@ def write_features_csv(m: FeatureMatrix, path, metadata: dict | None = None) -> 
     Optional metadata is emitted first as `# key: value` comment lines so
     every output file records how it was produced.
     """
-    with open(path, "w", newline="") as handle:
-        for key, value in (metadata or {}).items():
-            handle.write(f"# {key}: {value}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "label", *m.columns])
-        labels = m.labels if m.labels is not None else [""] * m.n
-        for i in range(m.n):
-            writer.writerow(
-                [m.ids[i], labels[i], *(fmt17(v) for v in m.values[i])]
-            )
+    labels = m.labels if m.labels is not None else [""] * m.n
+    rows = (
+        [m.ids[i], labels[i], *(fmt17(v) for v in m.values[i])]
+        for i in range(m.n)
+    )
+    write_csv(path, ["id", "label", *m.columns], rows, metadata)
 
 
 def read_features_csv(path) -> FeatureMatrix:
-    """Read the CSV format of write_features_csv; `#` comment lines skipped.
+    """Read the CSV format of write_features_csv after its `#` metadata lines.
 
-    Rows whose cell count differs from the header are rejected, naming the
-    offending line.
+    Rows whose cell count differs from the header, and non-numeric or
+    non-finite cells, are rejected, naming the offending data row.
     """
-    with open(path, "r", newline="") as handle:
-        rows = list(csv.reader(line for line in handle if not line.startswith("#")))
+    rows = read_csv(path)
     if not rows:
         raise ValueError(f"{path}: empty feature file")
     header = rows[0]
@@ -247,5 +241,8 @@ def read_features_csv(path) -> FeatureMatrix:
             values[i] = [float(cell) for cell in row[2:]]
         except ValueError as exc:
             raise ValueError(f"{path}: non-numeric value on data row {i + 1}") from exc
+    nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if nonfinite.size:
+        raise ValueError(f"{path}: non-finite value on data row {nonfinite[0] + 1}")
     has_labels = any(label != "" for label in labels)
     return FeatureMatrix(ids, labels if has_labels else None, columns, values)

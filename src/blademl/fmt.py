@@ -1,5 +1,11 @@
-"""Text serialization helpers shared by the CSV and JSON writers."""
+"""Text serialization helpers shared by the CSV and JSON writers.
 
+Every CSV artefact has one layout: optional `# key: value` metadata lines,
+then a header row, then data rows, all with `\n` line ends.
+"""
+
+import csv
+import itertools
 import json
 import math
 
@@ -7,6 +13,31 @@ import math
 def fmt17(x) -> str:
     """Render a real with 17 significant digits (lossless float64 round-trip)."""
     return format(float(x), ".17g")
+
+
+def metadata_lines(metadata: dict | None) -> str:
+    """`# key: value` comment lines recording how an artefact was produced."""
+    return "".join(f"# {key}: {value}\n" for key, value in (metadata or {}).items())
+
+
+def write_csv(path, header, rows, metadata: dict | None = None) -> None:
+    """Write metadata lines, the header row and the data rows to path."""
+    with open(path, "w", newline="") as handle:
+        handle.write(metadata_lines(metadata))
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path) -> list[list[str]]:
+    """Rows of a CSV artefact, header first.
+
+    `#` lines are metadata only before the header; a later row that starts
+    with `#` is data.
+    """
+    with open(path, "r", newline="") as handle:
+        lines = itertools.dropwhile(lambda line: line.startswith("#"), handle)
+        return list(csv.reader(lines))
 
 
 def render_json(obj, indent: int = 0) -> str:

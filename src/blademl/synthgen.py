@@ -22,13 +22,13 @@ classifiers and the clustering stage:
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fmt import write_csv
 from .raster import Raster, write_ppm
 from .rng import SplitMix64
 
@@ -194,12 +194,11 @@ def generate_dataset(cfg: GenConfig, out_dir) -> list[tuple[str, str]]:
                 handle.write(write_ppm(raster))
             entries.append((name, label))
             index += 1
-    labels_path = os.path.join(out_dir, "labels.csv")
-    with open(labels_path, "w", newline="") as handle:
-        handle.write(f"# counts: {','.join(str(c) for c in cfg.counts)}\n")
-        handle.write(f"# seed: {cfg.seed}\n")
-        handle.write(f"# size: {cfg.width}x{cfg.height}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "label"])
-        writer.writerows(entries)
+    metadata = {
+        "counts": ",".join(str(c) for c in cfg.counts),
+        "seed": cfg.seed,
+        "size": f"{cfg.width}x{cfg.height}",
+    }
+    write_csv(os.path.join(out_dir, "labels.csv"), ["id", "label"], entries,
+              metadata)
     return entries

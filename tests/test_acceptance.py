@@ -7,7 +7,6 @@ budget and compares against the independent references in oracles.py.
 
 import csv
 import filecmp
-import hashlib
 import math
 import os
 import shutil
@@ -51,6 +50,7 @@ from blademl.evaluation import (
 from blademl.features import FeatureMatrix
 from blademl.rng import SplitMix64
 
+from digests import artefact_digests, read_pinned
 from oracles import (
     accuracy_ref,
     auc_pairs_ref,
@@ -342,21 +342,13 @@ def test_a4_pipeline(corpus):
 
 
 def test_acceptance_golden_digests(corpus):
-    # features.csv is left out: its `# images:` line records the absolute
-    # corpus path of this run.
-    pinned = dict(
-        (rel, digest) for digest, rel in
-        (line.split(None, 1) for line in GOLDEN.read_text().splitlines())
-    )
-    del pinned["features.csv"]
-    got = {}
-    for prefix, directory in (("corpus", corpus.images),
-                              ("reports", corpus.reports),
-                              ("clusters", corpus.clusters)):
-        for name in os.listdir(directory):
-            data = (directory / name).read_bytes()
-            got[f"{prefix}/{name}"] = hashlib.sha256(data).hexdigest()
-    assert got == pinned
+    # features.csv is compared with its `# images:`/`# labels:` lines set
+    # to the relative paths the benchmark pinned.
+    got = artefact_digests(corpus.features, {
+        "corpus": corpus.images, "reports": corpus.reports,
+        "clusters": corpus.clusters,
+    })
+    assert got == read_pinned(GOLDEN)
 
 
 # ---------------------------------------------------------------------------

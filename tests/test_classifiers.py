@@ -1,11 +1,13 @@
 """Classifier unit tests: activations, gradients, trees, NB, MLP, I/O."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from blademl import classifiers
 from blademl.classifiers import (
     LOGISTIC_DEFAULTS,
     MLP_DEFAULTS,
@@ -156,6 +158,21 @@ def test_logistic_zero_feature_fallback():
     np.testing.assert_allclose(probs, 0.5, atol=1e-9)
 
 
+@pytest.mark.parametrize("g0, gw", [
+    (float("nan"), [0.5]), (0.5, [float("nan")]), (0.5, [float("inf")]),
+])
+def test_logistic_checks_both_gradient_parts(monkeypatch, g0, gw):
+    # max(finite, nan) is the finite value, so each part needs its own check.
+    monkeypatch.setattr(
+        classifiers, "logistic_gradient",
+        lambda *args: (g0, np.array(gw)),
+    )
+    ds = _dataset([[-2.0], [-1.0], [1.0], [2.0]], ["a", "a", "b", "b"])
+    with pytest.raises(ValueError, match="class 'a' became non-finite in "
+                       "iteration 1 of 1000"):
+        train_logistic(ds)
+
+
 def test_predict_logistic_validation():
     ds = _dataset([[0.0, 1.0], [1.0, 0.0]], ["a", "b"])
     model = train_logistic(ds)
@@ -290,6 +307,28 @@ def test_regression_tree_hand_case():
     constant = train_regression_tree([[0.0], [1.0]], [3.0, 3.0])
     assert constant.root.is_leaf
     assert predict_tree(constant, [0.5]) == 3.0
+
+
+# sha256 of model_to_json for seeded 200x5 regression fits with min_leaf=1.
+# Deep trees on noisy targets compare many near-equal split decreases, so
+# the thresholds' bits depend on the order the split search sums targets
+# in; each of these seeds changes bytes if a node's target totals are
+# summed as one 2-D axis-0 sum instead of one 1-D sum per column.
+REGRESSION_TREE_PINS = {
+    12: "d54dd7d1cd939d692169f49a2700807935827f04b475c8c4dde4cab9b622bbf7",
+    15: "a3855006eaa43994fbca2d945d5c3c16f02532ccbe1a2c05fafecf3253329697",
+    16: "fd2dfb8e63270b842185fce11e7c5a74b7980fae54e8b5720f1b535ee65aa4bb",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REGRESSION_TREE_PINS))
+def test_regression_tree_golden(seed):
+    u = np.array([uniform_from_u64(v) for v in splitmix64_stream(seed, 1200)])
+    X = u[:1000].reshape(200, 5)
+    targets = 10.0 * X[:, 0] - 5.0 * X[:, 1] ** 2 + X[:, 2] * X[:, 3] + u[1000:]
+    model = train_regression_tree(X, targets, TrainConfig(min_leaf=1))
+    digest = hashlib.sha256(model_to_json(model).encode()).hexdigest()
+    assert digest == REGRESSION_TREE_PINS[seed]
 
 
 def test_predict_tree_validation():

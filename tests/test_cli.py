@@ -8,11 +8,17 @@ import csv
 import filecmp
 import os
 import warnings
+from pathlib import Path
 
 import pytest
 
 from blademl import __version__
 from blademl import cli
+from blademl.features import read_features_csv
+from digests import artefact_digests, read_pinned
+
+# sha256 of every artefact of the `pipeline` fixture run.
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.sha256"
 
 
 def run(*argv):
@@ -106,6 +112,14 @@ def test_cluster_artifacts(pipeline):
     assert {r[1] for r in rows[1:]} == {"0", "1", "2"}
     newick = (clusters / "dendrogram.nwk").read_text()
     assert newick.endswith(";\n") and newick.count(":") >= 18
+
+
+def test_pipeline_golden_digests(pipeline):
+    got = artefact_digests(pipeline / "features.csv", {
+        "images": pipeline / "images", "reports": pipeline / "reports",
+        "clusters": pipeline / "clusters",
+    })
+    assert got == read_pinned(GOLDEN)
 
 
 def test_rerun_byte_identical(pipeline, tmp_path):
@@ -204,6 +218,45 @@ def test_features_missing_image_exit_1(pipeline, tmp_path, capsys):
     assert "ghost.ppm" in capsys.readouterr().err
 
 
+def test_features_keeps_hash_prefixed_image(pipeline, tmp_path):
+    # Only the `#` lines before the header are metadata.
+    images = pipeline / "images"
+    labels = (images / "labels.csv").read_text()
+    assert "crack_006.ppm" in labels
+    for name in os.listdir(images):
+        target = "#crack_006.ppm" if name == "crack_006.ppm" else name
+        (tmp_path / target).write_bytes((images / name).read_bytes())
+    (tmp_path / "labels.csv").write_text(
+        labels.replace("crack_006.ppm", "#crack_006.ppm")
+    )
+    feats = tmp_path / "f.csv"
+    assert run("features", "--images", tmp_path,
+               "--labels", tmp_path / "labels.csv", "--out", feats) == 0
+    ids = read_features_csv(feats).ids
+    assert len(ids) == 18 and "#crack_006.ppm" in ids
+
+
+def test_nonfinite_features_exit_1(pipeline, tmp_path, capsys):
+    lines = (pipeline / "features.csv").read_text().splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if line.startswith("id,"))
+    cells = lines[header + 5].split(",")
+    cells[7] = "nan"
+    lines[header + 5] = ",".join(cells)
+    feats = tmp_path / "f.csv"
+    feats.write_text("".join(lines))
+    out = tmp_path / "r"
+    assert run("evaluate", "--features", feats, "--out-dir", out,
+               "--k", 2, "--models", "tree") == 1
+    assert f"error: {feats}: non-finite value on data row 5" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    assert run("cluster", "--features", feats,
+               "--out-dir", tmp_path / "c") == 1
+    assert f"error: {feats}: non-finite value on data row 5" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_cluster_rejects_both_cut_flags(pipeline, tmp_path, capsys):
     assert run("cluster", "--features", pipeline / "features.csv",
                "--out-dir", tmp_path / "c",
@@ -233,6 +286,21 @@ def test_evaluate_diverging_mlp_exit_1(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: model 'mlp': fold 0: MLP weights became non-finite " \
         "in epoch 1 of 2" in err
+    assert not out.exists()
+
+
+def test_evaluate_diverging_logreg_exit_1(pipeline, tmp_path, capsys):
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run("evaluate", "--features", pipeline / "features.csv",
+                   "--out-dir", out, "--k", 2, "--models", "logreg",
+                   "--logreg-rate", 1e300)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: model 'logreg': fold 0: logistic gradient for class " \
+        "'healthy' became non-finite in iteration " in err
+    assert err.rstrip().endswith("of 1000")
     assert not out.exists()
 
 

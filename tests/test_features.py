@@ -285,12 +285,29 @@ def test_features_csv_rejects_malformed(tmp_path):
     path.write_text("id,label,c0\nr0,a,notanumber\n")
     with pytest.raises(ValueError, match="non-numeric"):
         read_features_csv(path)
+    for cell in ("nan", "inf", "-inf"):
+        path.write_text(f"# m: x\nid,label,c0,c1\nr0,a,1,2\nr1,a,3,{cell}\n")
+        with pytest.raises(ValueError,
+                           match=r"bad\.csv: non-finite value on data row 2"):
+            read_features_csv(path)
     path.write_text("nope,label,c0\n")
     with pytest.raises(ValueError, match="header"):
         read_features_csv(path)
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_features_csv(path)
+
+
+def test_features_csv_hash_id_round_trip(tmp_path):
+    # `#` lines are metadata only before the header; a data row whose id
+    # starts with `#` is kept.
+    m = FeatureMatrix(["#a", "b"], ["x", "#y"], ["c0"], np.array([[1.0], [2.0]]))
+    path = tmp_path / "features.csv"
+    write_features_csv(m, path, metadata={"source": "test"})
+    back = read_features_csv(path)
+    assert back.ids == ["#a", "b"]
+    assert back.labels == ["x", "#y"]
+    assert np.array_equal(back.values, m.values)
 
 
 def test_feature_matrix_validation():
