@@ -6,6 +6,11 @@ Lance-Williams recurrences, so single, complete, average, and Ward linkage
 share one merge loop.  Ward operates on squared euclidean distances and
 reports each merge height as the square root of the merge cost, keeping all
 four linkages height-monotone.
+
+The loop works on one n x n matrix in which slot s always holds the active
+cluster whose smallest leaf is s; retired slots and the diagonal are +inf.
+The first minimum in row-major order is then the documented tie-break, so
+each merge is one numpy argmin plus one vector Lance-Williams update.
 """
 
 from __future__ import annotations
@@ -76,19 +81,21 @@ def pairwise_distances(
         raise ValueError("features must be finite")
     if normalize:
         values = zscore_normalize(m)[0].values
-    rows, cols = np.triu_indices(m.n, k=1)
     if metric == "euclidean":
-        diffs = values[rows] - values[cols]
-        condensed = np.sqrt((diffs ** 2).sum(axis=1))
+        def row(i):
+            return np.sqrt(((values[i] - values[i + 1:]) ** 2).sum(axis=1))
     else:
         norms = np.sqrt((values ** 2).sum(axis=1))
-        dots = (values[rows] * values[cols]).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            similarity = dots / (norms[rows] * norms[cols])
-        condensed = 1.0 - similarity
-        zero = (norms[rows] == 0.0) | (norms[cols] == 0.0)
-        condensed[zero] = 1.0
-        condensed = np.maximum(condensed, 0.0)
+
+        def row(i):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                similarity = (values[i] * values[i + 1:]).sum(axis=1) / (
+                    norms[i] * norms[i + 1:]
+                )
+            out = 1.0 - similarity
+            out[(norms[i] == 0.0) | (norms[i + 1:] == 0.0)] = 1.0
+            return np.maximum(out, 0.0)
+    condensed = np.concatenate([row(i) for i in range(m.n - 1)])
     return DistanceMatrix(m.n, condensed, metric, normalize)
 
 
@@ -145,6 +152,15 @@ def agglomerate(
     one with the lexicographically smallest (min leaf of the left cluster,
     min leaf of the right cluster), where the left cluster is the one
     holding the smaller minimum leaf id.
+
+    Slot s of the n x n working matrix holds the active cluster whose
+    smallest leaf is s: a merge keeps the left (smaller) slot and sets the
+    right slot's row and column to +inf, as is the diagonal.  Because the
+    matrix is symmetric, the first minimum in row-major order lies above
+    the diagonal at the smallest (row, column), which is exactly the
+    (distance, left min leaf, right min leaf) order above.  Each update is
+    written in the operation order of the scalar recurrence, so every
+    element gets the same IEEE operations.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}")
@@ -154,62 +170,39 @@ def agglomerate(
     if len(leaf_names) != n:
         raise ValueError("leaf names must cover every leaf")
 
-    total = 2 * n - 1
-    work = np.zeros((total, total))
-    base = d.full()
+    work = d.full()
     if linkage == "ward":
-        base = base ** 2
-    work[:n, :n] = base
-
-    min_leaf = list(range(n)) + [0] * (n - 1)
-    size = [1] * n + [0] * (n - 1)
-    active = list(range(n))
+        work = work ** 2
+    np.fill_diagonal(work, np.inf)
+    size = np.ones(n)
+    ids = list(range(n))
     merges: list[Merge] = []
 
     for step in range(n - 1):
-        best = None
-        best_key = None
-        for ai in range(len(active)):
-            for bi in range(ai + 1, len(active)):
-                p, q = active[ai], active[bi]
-                if min_leaf[p] <= min_leaf[q]:
-                    key = (work[p, q], min_leaf[p], min_leaf[q])
-                    pair = (p, q)
-                else:
-                    key = (work[p, q], min_leaf[q], min_leaf[p])
-                    pair = (q, p)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = pair
-        left, right = best
+        left, right = divmod(int(np.argmin(work)), n)
         dist = work[left, right]
         height = float(np.sqrt(dist)) if linkage == "ward" else float(dist)
-        new_id = n + step
-        merges.append(Merge(left, right, height, new_id))
+        merges.append(Merge(ids[left], ids[right], height, n + step))
 
-        p_size, q_size = size[left], size[right]
-        active = [c for c in active if c not in (left, right)]
-        for other in active:
-            dp = work[left, other]
-            dq = work[right, other]
-            if linkage == "single":
-                updated = min(dp, dq)
-            elif linkage == "complete":
-                updated = max(dp, dq)
-            elif linkage == "average":
-                updated = (p_size * dp + q_size * dq) / (p_size + q_size)
-            else:
-                r_size = size[other]
-                updated = (
-                    (p_size + r_size) * dp
-                    + (q_size + r_size) * dq
-                    - r_size * dist
-                ) / (p_size + q_size + r_size)
-            work[new_id, other] = updated
-            work[other, new_id] = updated
-        min_leaf[new_id] = min_leaf[left]
-        size[new_id] = p_size + q_size
-        active.append(new_id)
+        dp, dq = work[left], work[right]
+        p, q = size[left], size[right]
+        if linkage == "single":
+            # np.where, not np.minimum: keep Python min's pick between
+            # equal-comparing signed zeros.
+            up = np.where(dq < dp, dq, dp)
+        elif linkage == "complete":
+            up = np.where(dq > dp, dq, dp)
+        elif linkage == "average":
+            up = (p * dp + q * dq) / (p + q)
+        else:
+            up = (
+                (p + size) * dp + (q + size) * dq - size * dist
+            ) / (p + q + size)
+        up[left] = up[right] = np.inf
+        work[left] = work[:, left] = up
+        work[right] = work[:, right] = np.inf
+        size[left] = p + q
+        ids[left] = n + step
 
     return Dendrogram(n, merges, linkage, list(leaf_names))
 
@@ -230,8 +223,8 @@ def cut_dendrogram(
             raise ValueError(f"cluster count must lie in [1, {dg.n}]")
         kept = dg.merges[: dg.n - count]
     else:
-        if height < 0.0:
-            raise ValueError("height threshold must be nonnegative")
+        if not height >= 0.0:
+            raise ValueError("height threshold must be a nonnegative number")
         kept = [m for m in dg.merges if m.height <= height]
 
     parent = list(range(2 * dg.n - 1))

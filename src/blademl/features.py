@@ -136,6 +136,9 @@ class NormalizationParams:
         self.sd = np.asarray(self.sd, dtype=np.float64)
         if self.mean.shape != self.sd.shape or self.mean.ndim != 1:
             raise ValueError("mean and sd must be 1-D and equal length")
+        bad = np.flatnonzero(~(np.isfinite(self.mean) & np.isfinite(self.sd)))
+        if bad.size:
+            raise ValueError(f"column {bad[0]}: mean and sd must be finite")
         if np.any(self.sd < 0.0):
             raise ValueError("standard deviations must be nonnegative")
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 
 
@@ -459,6 +461,76 @@ def linkage_oracle(dist, linkage):
         merges.append((a, b, height, next_id))
         clusters[next_id] = clusters.pop(a) + clusters.pop(b)
         next_id += 1
+    return merges
+
+
+def lance_williams_scan(dist, linkage):
+    """Scalar pair-scan agglomeration: an exact-equality reference for the
+    package's vectorised Lance-Williams loop (same merges, same height bits).
+
+    dist: full symmetric numpy matrix.  At each step every active pair is
+    scanned for the smallest (distance, left min leaf, right min leaf) key,
+    and the merged cluster's distances are updated one scalar at a time by
+    Lance-Williams on a (2n - 1)^2 matrix.  Returns merge records
+    (left_id, right_id, height, new_id) like linkage_oracle.
+    """
+    n = len(dist)
+    total = 2 * n - 1
+    work = np.zeros((total, total))
+    base = np.asarray(dist, dtype=np.float64)
+    if linkage == "ward":
+        base = base ** 2
+    work[:n, :n] = base
+
+    min_leaf = list(range(n)) + [0] * (n - 1)
+    size = [1] * n + [0] * (n - 1)
+    active = list(range(n))
+    merges = []
+
+    for step in range(n - 1):
+        best = None
+        best_key = None
+        for ai in range(len(active)):
+            for bi in range(ai + 1, len(active)):
+                p, q = active[ai], active[bi]
+                if min_leaf[p] <= min_leaf[q]:
+                    key = (work[p, q], min_leaf[p], min_leaf[q])
+                    pair = (p, q)
+                else:
+                    key = (work[p, q], min_leaf[q], min_leaf[p])
+                    pair = (q, p)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = pair
+        left, right = best
+        dist_lr = work[left, right]
+        height = float(np.sqrt(dist_lr)) if linkage == "ward" else float(dist_lr)
+        new_id = n + step
+        merges.append((left, right, height, new_id))
+
+        p_size, q_size = size[left], size[right]
+        active = [c for c in active if c not in (left, right)]
+        for other in active:
+            dp = work[left, other]
+            dq = work[right, other]
+            if linkage == "single":
+                updated = min(dp, dq)
+            elif linkage == "complete":
+                updated = max(dp, dq)
+            elif linkage == "average":
+                updated = (p_size * dp + q_size * dq) / (p_size + q_size)
+            else:
+                r_size = size[other]
+                updated = (
+                    (p_size + r_size) * dp
+                    + (q_size + r_size) * dq
+                    - r_size * dist_lr
+                ) / (p_size + q_size + r_size)
+            work[new_id, other] = updated
+            work[other, new_id] = updated
+        min_leaf[new_id] = min_leaf[left]
+        size[new_id] = p_size + q_size
+        active.append(new_id)
     return merges
 
 

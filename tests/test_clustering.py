@@ -18,6 +18,7 @@ from blademl.clustering import (
 from blademl.features import FeatureMatrix
 
 from oracles import (
+    lance_williams_scan,
     linkage_oracle,
     parse_newick,
     prim_mst_weights,
@@ -41,6 +42,40 @@ def _random_distance_matrix(seed, n):
     u = [uniform_from_u64(v) for v in splitmix64_stream(seed, n * (n - 1) // 2)]
     condensed = np.array(u) * 10.0 + 0.1
     return DistanceMatrix(n, condensed, "euclidean", False)
+
+
+def _tied_distance_matrix(seed, n):
+    """Integer distances in {1, 2, 3}: most pairs tie with many others."""
+    u = [uniform_from_u64(v) for v in splitmix64_stream(seed, n * (n - 1) // 2)]
+    condensed = np.array([1.0 + int(x * 3.0) for x in u])
+    return DistanceMatrix(n, condensed, "euclidean", False)
+
+
+def _grid_distance_matrix(seed, n):
+    """n points on the 3 x 3 integer grid: repeated points and tied pairs."""
+    u = [uniform_from_u64(v) for v in splitmix64_stream(seed, 2 * n)]
+    points = np.array([int(x * 3.0) for x in u], dtype=np.float64).reshape(n, 2)
+    return pairwise_distances(_matrix(points), "euclidean", normalize=False)
+
+
+def _signed_zero_distance_matrix(seed, n):
+    """Distances in {0, 1, 2} with about half the zeros stored as -0.0."""
+    u = [uniform_from_u64(v) for v in splitmix64_stream(seed, n * (n - 1) // 2)]
+    condensed = np.array([float(int(x * 3.0)) for x in u])
+    condensed[(condensed == 0.0) & (np.array(u) < 1.0 / 6.0)] = -0.0
+    return DistanceMatrix(n, condensed, "euclidean", False)
+
+
+def _normal_rows(seed, n, width=37):
+    return _matrix(np.random.default_rng(seed).standard_normal((n, width)))
+
+
+def _merge_bits(merges):
+    return [(m.left, m.right, m.height.hex(), m.new_id) for m in merges]
+
+
+def _scan_bits(ref):
+    return [(left, right, height.hex(), new_id) for left, right, height, new_id in ref]
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +184,42 @@ def test_agglomerate_matches_oracle(linkage):
             assert merge.height == pytest.approx(height, abs=1e-9)
 
 
+FAMILIES = {
+    "uniform": _random_distance_matrix,
+    "ties": _tied_distance_matrix,
+    "grid": _grid_distance_matrix,
+    "signed-zeros": _signed_zero_distance_matrix,
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_agglomerate_equals_scalar_scan(linkage, family):
+    # Same merges, same tie order and the same height bits as the scalar
+    # pair scan, on inputs where most candidate pairs tie.
+    for n in range(2, 61):
+        d = FAMILIES[family](n + 300, n)
+        ref = lance_williams_scan(d.full(), linkage)
+        assert _merge_bits(agglomerate(d, linkage).merges) == _scan_bits(ref), n
+
+
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_agglomerate_equals_scalar_scan_150_rows(linkage):
+    d = pairwise_distances(_normal_rows(150, 150))
+    ref = lance_williams_scan(d.full(), linkage)
+    assert _merge_bits(agglomerate(d, linkage).merges) == _scan_bits(ref)
+
+
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_agglomerate_1000_rows(linkage):
+    d = pairwise_distances(_normal_rows(1000, 1000))
+    heights = [m.height for m in agglomerate(d, linkage).merges]
+    assert all(a <= b + 1e-12 for a, b in zip(heights, heights[1:]))
+    if linkage == "single":
+        mst = prim_mst_weights(d.full().tolist())
+        np.testing.assert_allclose(heights, mst, atol=1e-9)
+
+
 @pytest.mark.parametrize("linkage", LINKAGES)
 def test_heights_monotone(linkage):
     for seed in range(4):
@@ -217,6 +288,13 @@ def test_cut_validation():
         cut_dendrogram(dg, count=5)
     with pytest.raises(ValueError):
         cut_dendrogram(dg, height=-0.5)
+
+
+def test_cut_height_nan_rejected():
+    d = DistanceMatrix(3, np.array([1.0, 2.0, 3.0]), "euclidean", False)
+    dg = agglomerate(d, "single")
+    with pytest.raises(ValueError, match="nonnegative"):
+        cut_dendrogram(dg, height=float("nan"))
 
 
 def test_cuts_are_nested_refinements():

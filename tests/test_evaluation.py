@@ -354,6 +354,16 @@ def test_cross_validate_constant_features():
             assert np.isfinite(getattr(s, metric))
 
 
+def test_cross_validate_rejects_nan_cell():
+    ds = _blob_dataset()
+    X = ds.X.copy()
+    X[4, 1] = np.nan
+    bad = _dataset(X, list(ds.matrix.labels))
+    folds = stratified_kfold(bad, 4, seed=2)
+    with pytest.raises(ValueError, match="column 1: mean and sd must be finite"):
+        cross_validate(bad, FAST_SPECS, folds)
+
+
 def test_cross_validate_affine_feature_invariance():
     # Per-fold z-scoring makes every model invariant to positive affine
     # rescaling of the raw feature columns.

@@ -181,6 +181,17 @@ def test_normalization_params_validation():
         zscore_normalize(_matrix(np.empty((0, 2))))
 
 
+def test_normalization_params_reject_nonfinite():
+    for mean, sd in (([np.nan, 1.0], [1.0, 2.0]), ([0.0, 1.0], [1.0, np.nan]),
+                     ([0.0, np.inf], [1.0, 2.0]), ([0.0, 1.0], [np.inf, 2.0])):
+        with pytest.raises(ValueError, match="finite"):
+            NormalizationParams(mean, sd)
+    values = np.arange(6.0).reshape(3, 2)
+    values[1, 1] = np.nan
+    with pytest.raises(ValueError, match="column 1: mean and sd must be finite"):
+        zscore_normalize(_matrix(values))
+
+
 # ---------------------------------------------------------------------------
 # PCA
 
