@@ -85,11 +85,10 @@ class TrainConfig:
 def sigmoid(z):
     """Numerically stable 1 / (1 + exp(-z)); exponentiates only -|z|."""
     arr = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ez = np.exp(arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(arr))
+    # 1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below: e <= 1, so
+    # the numerator max(e, z >= 0) is 1 above and e below (NaN stays NaN).
+    out = np.maximum(e, arr >= 0) / (1.0 + e)
     if np.ndim(z) == 0:
         return float(out[0])
     return out
@@ -105,6 +104,22 @@ def logit(p: float) -> float:
 def _check_finite(X: np.ndarray) -> None:
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
+
+
+def _shared_schema(datasets: list[LabeledDataset], model: str):
+    """The class names and feature count that all training sets of one
+    lockstep fit must share; every training set must be finite."""
+    if not datasets:
+        raise ValueError(f"{model} training needs at least one training set")
+    classes = list(datasets[0].class_names)
+    if len(classes) < 2:
+        raise ValueError(f"{model} training requires at least 2 classes")
+    width = datasets[0].X.shape[1]
+    for ds in datasets:
+        if list(ds.class_names) != classes or ds.X.shape[1] != width:
+            raise ValueError("training sets must share classes and features")
+        _check_finite(ds.X)
+    return classes, width
 
 
 # ---------------------------------------------------------------------------
@@ -150,59 +165,119 @@ def logistic_objective(
     return float(nll.mean() + 0.5 * l2 * float(weights @ weights))
 
 
+# One-vs-rest problems descend as stacks: X has shape (m, 1, n, p), weights
+# (m, classes, p) and targets (m, classes, n).  np.matmul with a trailing
+# unit axis makes one BLAS gemv per problem, the same call as an unstacked
+# X @ w or X.T @ r (one gemm X @ W.T would round differently), and every
+# other op is elementwise or reduces within one problem, so each problem in
+# a stack gets exactly the bits it would get alone.
+
+
+def _stack_logistic_gradients(intercepts, weights, X, targets, l2):
+    """Gradients of logistic_objective in (intercepts, weights) for a stack."""
+    n = targets.shape[-1]
+    residual = sigmoid(
+        intercepts[..., None] + (X @ weights[..., None])[..., 0]
+    ) - targets
+    gw = (X.swapaxes(-1, -2) @ residual[..., None])[..., 0]
+    return residual.sum(axis=-1) / n, gw / n + l2 * weights
+
+
 def logistic_gradient(
     intercept: float, weights: np.ndarray, X: np.ndarray, targets: np.ndarray,
     l2: float,
 ) -> tuple[float, np.ndarray]:
     """Analytic gradient of logistic_objective in (intercept, weights)."""
-    residual = sigmoid(intercept + X @ weights) - targets
-    n = X.shape[0]
-    return float(residual.mean()), X.T @ residual / n + l2 * weights
+    g0, gw = _stack_logistic_gradients(
+        np.full((1, 1), intercept, dtype=np.float64),
+        np.asarray(weights, dtype=np.float64)[None, None],
+        np.asarray(X, dtype=np.float64)[None, None],
+        np.asarray(targets, dtype=np.float64)[None, None], l2,
+    )
+    return float(g0[0, 0]), gw[0, 0]
 
 
-def train_logistic(ds: LabeledDataset, cfg: TrainConfig | None = None) -> LogisticModel:
-    """Fit one-vs-rest logistic coefficients by full-batch gradient descent.
+def train_logistics(
+    datasets: list[LabeledDataset], cfg: TrainConfig | None = None
+) -> list[LogisticModel]:
+    """Fit the one-vs-rest models of several training sets in one full-batch
+    gradient-descent loop.
 
-    Deterministic: coefficients start at zero and descend with a fixed step
-    until the gradient infinity-norm drops below the tolerance or the
-    iteration limit is reached.  A non-finite gradient raises ValueError
-    naming the class and the iteration.
+    Each (training set, class) problem descends exactly as it would alone:
+    coefficients start at zero and take fixed steps until the gradient
+    infinity-norm drops below the tolerance or the iteration limit is
+    reached.  Training sets of equal row count form one stack.  A problem
+    whose gradient becomes non-finite stops; ValueError then names the
+    first such problem in (training set, class) order at its own iteration,
+    as fitting them one at a time would.  A training set is named by its
+    index, its fold when the sets are cross-validation training parts.
     """
     cfg = cfg or TrainConfig()
-    if len(ds.class_names) < 2:
-        raise ValueError("logistic training requires at least 2 classes")
-    X = ds.X
-    _check_finite(X)
+    classes, width = _shared_schema(datasets, "logistic")
     rate = cfg.resolved("learning_rate", LOGISTIC_DEFAULTS)
     limit = cfg.resolved("limit", LOGISTIC_DEFAULTS)
     tolerance = cfg.resolved("tolerance", LOGISTIC_DEFAULTS)
     l2 = cfg.resolved("l2", LOGISTIC_DEFAULTS)
 
-    k = len(ds.class_names)
-    intercepts = np.zeros(k)
-    coefficients = np.zeros((k, X.shape[1]))
+    k = len(classes)
+    by_size = {}
+    for i, ds in enumerate(datasets):
+        by_size.setdefault(ds.n, []).append(i)
+    # Per stack: training set indices, X, targets, intercepts, weights and
+    # the problems still descending.
+    stacks = []
+    for index in by_size.values():
+        y = np.stack([datasets[i].y for i in index])
+        stacks.append((
+            index,
+            np.stack([datasets[i].X for i in index])[:, None],
+            (y[:, None, :] == np.arange(k)[:, None]).astype(np.float64),
+            np.zeros((len(index), k)),
+            np.zeros((len(index), k, width)),
+            np.ones((len(index), k), dtype=bool),
+        ))
+    failures = []
     # Divergence is reported by the gradient check, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in range(k):
-            targets = (ds.y == c).astype(np.float64)
-            intercept = 0.0
-            weights = np.zeros(X.shape[1])
-            for iteration in range(limit):
-                g0, gw = logistic_gradient(intercept, weights, X, targets, l2)
-                gw_max = float(np.abs(gw).max()) if gw.size else 0.0
-                if not (math.isfinite(g0) and math.isfinite(gw_max)):
-                    raise ValueError(
-                        f"logistic gradient for class {ds.class_names[c]!r} "
-                        f"became non-finite in iteration {iteration + 1} "
-                        f"of {limit}"
-                    )
-                if max(abs(g0), gw_max) < tolerance:
-                    break
-                intercept -= rate * g0
-                weights -= rate * gw
-            intercepts[c] = intercept
-            coefficients[c] = weights
-    return LogisticModel(list(ds.class_names), intercepts, coefficients)
+        for iteration in range(limit):
+            for index, X, targets, intercepts, weights, active in stacks:
+                if not active.any():
+                    continue
+                g0, gw = _stack_logistic_gradients(
+                    intercepts, weights, X, targets, l2
+                )
+                norm = np.maximum(
+                    np.abs(g0), np.abs(gw).max(axis=-1, initial=0.0)
+                )
+                finite = np.isfinite(norm)
+                for s, c in zip(*np.nonzero(active & ~finite)):
+                    failures.append((index[s], c, iteration + 1))
+                active &= finite & (norm >= tolerance)
+                # x - 0.0 is x, so stopped problems keep their bits.
+                intercepts -= np.where(active, rate * g0, 0.0)
+                weights -= np.where(active[..., None], rate * gw, 0.0)
+            if not any(stack[-1].any() for stack in stacks):
+                break
+    if failures:
+        fold, c, iteration = min(failures)
+        raise ValueError(
+            f"fold {fold}: logistic gradient for class {classes[c]!r} "
+            f"became non-finite in iteration {iteration} of {limit}"
+        )
+
+    models = [None] * len(datasets)
+    for index, _, _, intercepts, weights, _ in stacks:
+        for slot, i in enumerate(index):
+            models[i] = LogisticModel(
+                classes, intercepts[slot].copy(), weights[slot].copy()
+            )
+    return models
+
+
+def train_logistic(ds: LabeledDataset, cfg: TrainConfig | None = None) -> LogisticModel:
+    """Fit one-vs-rest logistic coefficients by full-batch gradient descent
+    from zero, stopping at the gradient tolerance or the iteration limit."""
+    return train_logistics([ds], cfg)[0]
 
 
 def predict_logistic(model: LogisticModel, x) -> np.ndarray:
@@ -669,16 +744,7 @@ def train_mlps(
     its fold when the sets are cross-validation training parts.
     """
     cfg = cfg or TrainConfig()
-    if not datasets:
-        raise ValueError("MLP training needs at least one training set")
-    classes = list(datasets[0].class_names)
-    if len(classes) < 2:
-        raise ValueError("MLP training requires at least 2 classes")
-    width = datasets[0].X.shape[1]
-    for ds in datasets:
-        if list(ds.class_names) != classes or ds.X.shape[1] != width:
-            raise ValueError("training sets must share classes and features")
-        _check_finite(ds.X)
+    classes, width = _shared_schema(datasets, "MLP")
     rate = cfg.resolved("learning_rate", MLP_DEFAULTS)
     limit = cfg.resolved("limit", MLP_DEFAULTS)
     l2 = cfg.resolved("l2", MLP_DEFAULTS)

@@ -169,18 +169,33 @@ def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     return (rank_sum - p * (p + 1) / 2.0) / (p * n_neg)
 
 
+def _score_table(scores, actual, classes: list[str]) -> np.ndarray:
+    """scores as a float table with one row per label and one column per
+    class."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] != len(classes):
+        raise ValueError(
+            f"score table of shape {scores.shape} needs one column per "
+            f"class ({len(classes)})"
+        )
+    if len(actual) != scores.shape[0]:
+        raise ValueError("scores and labels must have equal length")
+    return scores
+
+
 def auc(scores, actual, classes: list[str]) -> float:
     """Support-weighted mean of per-class one-vs-rest AUCs.
 
     Classes lacking either a positive or a negative example are skipped;
     if no class is valid the AUC is undefined and an error is raised.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _score_table(scores, actual, classes)
     if np.any(np.abs(scores.sum(axis=1) - 1.0) > 1e-9):
         raise ValueError("every probability row must sum to 1")
-    if len(actual) != scores.shape[0]:
-        raise ValueError("scores and labels must have equal length")
     index = {name: i for i, name in enumerate(classes)}
+    unknown = [a for a in actual if a not in index]
+    if unknown:
+        raise ValueError(f"unknown actual label {unknown[0]!r}")
     y = np.array([index[a] for a in actual])
     total_support = 0
     weighted = 0.0
@@ -198,9 +213,7 @@ def auc(scores, actual, classes: list[str]) -> float:
 
 def mean_log_loss(scores, actual, classes: list[str]) -> float:
     """Mean clipped cross-entropy of the actual class probabilities."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if len(actual) != scores.shape[0]:
-        raise ValueError("scores and labels must have equal length")
+    scores = _score_table(scores, actual, classes)
     losses = [
         cross_entropy_loss(scores[i], actual[i], classes)
         for i in range(scores.shape[0])
@@ -265,20 +278,21 @@ class ModelSpec:
 
 
 def train_folds(spec: ModelSpec, datasets: list[LabeledDataset]) -> list:
-    """One model per training set; the networks of an mlp spec train
-    together in one lockstep SGD loop.  A training error is prefixed with
-    `fold F:`, F being the index of the training set that failed."""
+    """One model per training set; the networks of an mlp spec and the
+    one-vs-rest problems of a logreg spec each train in one lockstep loop.
+    A training error names `fold F`, F being the index of the training set
+    that failed."""
     if spec.kind == "mlp":
         return classifiers.train_mlps(datasets, spec.config)
+    if spec.kind == "logreg":
+        return classifiers.train_logistics(datasets, spec.config)
     models = []
     for f, ds in enumerate(datasets):
         try:
             if spec.kind == "tree":
                 models.append(classifiers.train_tree(ds, spec.config))
-            elif spec.kind == "nb":
-                models.append(classifiers.train_naive_bayes(ds))
             else:
-                models.append(classifiers.train_logistic(ds, spec.config))
+                models.append(classifiers.train_naive_bayes(ds))
         except ValueError as exc:
             raise ValueError(f"fold {f}: {exc}") from exc
     return models

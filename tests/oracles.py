@@ -359,6 +359,71 @@ def central_difference(f, x: float, h: float = 1e-5) -> float:
 
 
 # ---------------------------------------------------------------------------
+# One-vs-rest logistic descent, one class at a time
+
+
+class LogisticDivergence(ValueError):
+    """The gradient of class `class_index` became non-finite in the 1-based
+    iteration `iteration`."""
+
+    def __init__(self, class_index: int, iteration: int):
+        super().__init__(f"class {class_index}: iteration {iteration}")
+        self.class_index = class_index
+        self.iteration = iteration
+
+
+def sigmoid_sign_split(z):
+    """1 / (1 + exp(-z)) on the entries z >= 0 and exp(z) / (1 + exp(z))
+    on the others, each branch evaluated on its own subset."""
+    z = np.asarray(z, dtype=np.float64)
+    s = np.empty_like(z)
+    pos = z >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    s[~pos] = ez / (1.0 + ez)
+    return s
+
+
+def logistic_descent(X, y, class_count, rate, limit, tolerance, l2):
+    """Full-batch gradient descent on each one-vs-rest problem in turn, with
+    an unstacked gemv forward (X @ w) and backward (X.T @ r) pass and the
+    sign-split stable sigmoid: the arithmetic the lockstep trainer must
+    reproduce bit for bit.  A class stops before its step once
+    max(|g0|, max |gw|) < tolerance.
+
+    Returns (intercepts, coefficients, steps taken per class); raises
+    LogisticDivergence at the first non-finite gradient.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, p = X.shape
+    intercepts = np.zeros(class_count)
+    coefficients = np.zeros((class_count, p))
+    steps = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(class_count):
+            targets = (np.asarray(y) == c).astype(np.float64)
+            intercept = 0.0
+            weights = np.zeros(p)
+            taken = limit
+            for iteration in range(limit):
+                residual = sigmoid_sign_split(intercept + X @ weights) - targets
+                g0 = float(residual.mean())
+                gw = X.T @ residual / n + l2 * weights
+                gw_max = float(np.abs(gw).max()) if p else 0.0
+                if not (math.isfinite(g0) and math.isfinite(gw_max)):
+                    raise LogisticDivergence(c, iteration + 1)
+                if max(abs(g0), gw_max) < tolerance:
+                    taken = iteration
+                    break
+                intercept -= rate * g0
+                weights -= rate * gw
+            intercepts[c] = intercept
+            coefficients[c] = weights
+            steps.append(taken)
+    return intercepts, coefficients, steps
+
+
+# ---------------------------------------------------------------------------
 # Brute-force tree root split
 
 

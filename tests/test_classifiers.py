@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from blademl.classifiers import (
     sgd_update,
     sigmoid,
     train_logistic,
+    train_logistics,
     train_mlp,
     train_mlps,
     train_naive_bayes,
@@ -44,7 +46,14 @@ from blademl.dataset import LabeledDataset
 from blademl.features import FeatureMatrix
 from blademl.rng import SplitMix64, shuffled_indices
 
-from oracles import best_root_split_ref, splitmix64_stream, uniform_from_u64
+from oracles import (
+    LogisticDivergence,
+    best_root_split_ref,
+    logistic_descent,
+    sigmoid_sign_split,
+    splitmix64_stream,
+    uniform_from_u64,
+)
 
 SIGMOID_2 = 0.8807970779778823
 
@@ -86,6 +95,15 @@ def test_sigmoid_shapes():
     out = sigmoid(np.array([-1.0, 0.0, 1.0]))
     assert out.shape == (3,)
     assert out[1] == 0.5
+
+
+def test_sigmoid_matches_sign_split_reference():
+    u = np.array(_uniforms(64, 3000))
+    z = (u[:1000] - 0.5) * 10.0 ** (u[1000:2000] * 6.0 - 3.0)
+    z[:10] = [0.0, -0.0, np.inf, -np.inf, 745.2, -745.2, 36.7, -800.0,
+              -1e-17, -5e-324]
+    for shaped in (z, z.reshape(10, 4, 25), z[::3]):
+        assert sigmoid(shaped).tobytes() == sigmoid_sign_split(shaped).tobytes()
 
 
 def test_logit_inverts_sigmoid():
@@ -164,13 +182,91 @@ def test_logistic_zero_feature_fallback():
 def test_logistic_checks_both_gradient_parts(monkeypatch, g0, gw):
     # max(finite, nan) is the finite value, so each part needs its own check.
     monkeypatch.setattr(
-        classifiers, "logistic_gradient",
-        lambda *args: (g0, np.array(gw)),
+        classifiers, "_stack_logistic_gradients",
+        lambda intercepts, weights, *args: (
+            np.full(intercepts.shape, g0),
+            np.broadcast_to(np.array(gw), weights.shape),
+        ),
     )
     ds = _dataset([[-2.0], [-1.0], [1.0], [2.0]], ["a", "a", "b", "b"])
     with pytest.raises(ValueError, match="class 'a' became non-finite in "
                        "iteration 1 of 1000"):
         train_logistic(ds)
+
+
+def _training_parts(n, k, classes, p, seed):
+    """The k cross-validation training parts of n rows, fold f holding out
+    the rows i with i % k == f; labels cycle through `classes` and shift
+    the first feature by the class index."""
+    X = (np.array(_uniforms(seed, n * p)).reshape(n, p) - 0.5) * 4.0
+    labels = [classes[i % len(classes)] for i in range(n)]
+    if p:
+        X[:, 0] += [classes.index(label) for label in labels]
+    ds = _dataset(X, labels)
+    return [ds.subset([i for i in range(n) if i % k != f]) for f in range(k)]
+
+
+def _descend(ds, cfg):
+    return logistic_descent(ds.X, ds.y, len(ds.class_names), cfg.learning_rate,
+                            cfg.limit, cfg.tolerance, cfg.l2)
+
+
+# Configs are TrainConfig(learning_rate, limit, tolerance, l2).
+@pytest.mark.parametrize("n, k, classes, p, cfg", [
+    # Equal training-set sizes, one stack.
+    (40, 4, ["a", "b"], 3, TrainConfig(0.5, 200, 1e-6, 1e-3)),
+    # Training sets of 90 and 91 rows, two stacks.
+    (101, 10, ["a", "b", "c"], 4, TrainConfig(0.5, 60, 1e-6, 1e-3)),
+    (101, 10, ["a", "b"], 0, TrainConfig(0.5, 60, 1e-6, 1e-3)),
+    (101, 10, ["a", "b", "c"], 2, TrainConfig(0.5, 1, 1e-6, 1e-3)),
+    # Classes of one fold stop at different iterations (27, 26 and 39).
+    (24, 4, ["a", "b", "c"], 3, TrainConfig(0.5, 300, 1e-2, 1e-3)),
+], ids=["equal", "unequal-3-classes", "no-features", "limit-1", "tolerance"])
+def test_train_logistics_lockstep_matches_solo(n, k, classes, p, cfg):
+    sets = _training_parts(n, k, classes, p, seed=71)
+    models = train_logistics(sets, cfg)
+    if cfg.tolerance == 1e-2:
+        steps = _descend(sets[0], cfg)[2]
+        assert len(set(steps)) == len(classes) and max(steps) < cfg.limit
+    for ds, model in zip(sets, models):
+        intercepts, coefficients, _ = _descend(ds, cfg)
+        assert model.intercepts.tobytes() == intercepts.tobytes()
+        assert model.coefficients.tobytes() == coefficients.tobytes()
+        assert model_to_json(train_logistic(ds, cfg)) == model_to_json(model)
+
+
+def test_train_logistics_reports_divergence_in_sequential_order():
+    X = (np.array(_uniforms(72, 40)).reshape(20, 2) - 0.5) * 4.0
+    labels = ["a", "b"] * 10
+    # Fold 0 diverges late; folds 1 and 2 (the latter in its own stack of
+    # 19 rows) overflow far earlier in lockstep time.
+    sets = [_dataset(X, labels), _dataset(X * 1e150, labels),
+            _dataset(X[:19] * 1e150, labels[:19])]
+    cfg = TrainConfig(learning_rate=50.0, limit=500, tolerance=0.0, l2=1.0)
+    first = []
+    for ds in sets:
+        with pytest.raises(LogisticDivergence) as caught:
+            _descend(ds, cfg)
+        first.append(caught.value)
+    assert first[0].iteration > max(f.iteration for f in first[1:])
+    expected = (f"fold 0: logistic gradient for class "
+                f"{sets[0].class_names[first[0].class_index]!r} became "
+                f"non-finite in iteration {first[0].iteration} of 500")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as caught:
+            train_logistics(sets, cfg)
+    assert str(caught.value) == expected
+
+
+def test_train_logistics_validation():
+    a = _dataset([[0.0], [1.0]], ["p", "q"])
+    with pytest.raises(ValueError, match="at least one"):
+        train_logistics([])
+    with pytest.raises(ValueError, match="share classes"):
+        train_logistics([a, _dataset([[0.0], [1.0]], ["q", "p"])])
+    with pytest.raises(ValueError, match="share classes"):
+        train_logistics([a, _dataset([[0.0, 1.0], [1.0, 0.0]], ["p", "q"])])
 
 
 def test_predict_logistic_validation():

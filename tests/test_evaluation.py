@@ -204,6 +204,22 @@ def test_auc_validation():
         auc(_binary_probs([0.5, 0.6]), ["a", "a"], ["a", "b"])
 
 
+def test_auc_rejects_unknown_label():
+    probs = _binary_probs([0.9, 0.2, 0.6])
+    with pytest.raises(ValueError, match="unknown actual label 'z'"):
+        auc(probs, ["p", "z", "n"], ["p", "n"])
+
+
+@pytest.mark.parametrize("metric", [auc, mean_log_loss])
+def test_score_table_width_must_match_classes(metric):
+    narrow = np.array([[1.0], [1.0], [1.0]])
+    with pytest.raises(ValueError, match=r"shape \(3, 1\) needs one column "
+                       r"per class \(3\)"):
+        metric(narrow, ["a", "b", "c"], ["a", "b", "c"])
+    with pytest.raises(ValueError, match=r"shape \(2,\) needs"):
+        metric(np.array([0.5, 0.5]), ["a", "b"], ["a", "b"])
+
+
 def test_mean_log_loss_hand_case():
     probs = np.array([[1.0, 0.0], [0.5, 0.5], [0.25, 0.75]])
     actual = ["a", "a", "a"]
