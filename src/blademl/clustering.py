@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMatrix, zscore_normalize
-from .fmt import fmt17, write_csv
+from .fmt import write_csv
 
 METRICS = ("euclidean", "cosine")
 LINKAGES = ("single", "complete", "average", "ward")
@@ -249,10 +249,6 @@ def cut_dendrogram(
     return ClusterAssignment(labels, len(roots))
 
 
-def _children(dg: Dendrogram) -> dict[int, Merge]:
-    return {m.new_id: m for m in dg.merges}
-
-
 def export_dendrogram(dg: Dendrogram, fmt: str = "text") -> str:
     """Render as an indented text tree or a Newick string.
 
@@ -264,43 +260,34 @@ def export_dendrogram(dg: Dendrogram, fmt: str = "text") -> str:
     """
     if fmt not in ("text", "newick"):
         raise ValueError("format must be text or newick")
-    by_id = _children(dg)
     root = dg.merges[-1].new_id if dg.merges else 0
-
+    # Neither format recurses: a chained tree is n - 1 levels deep, past
+    # Python's recursion limit.
     if fmt == "text":
+        by_id = {m.new_id: m for m in dg.merges}
         lines: list[str] = []
-
-        def walk(node: int, depth: int) -> None:
+        stack = [(root, 0)]
+        while stack:
+            node, depth = stack.pop()
             pad = "  " * depth
             if node < dg.n:
                 lines.append(f"{pad}leaf {dg.leaf_names[node]}")
-                return
+                continue
             merge = by_id[node]
             lines.append(f"{pad}node {merge.height:.6f}")
-            walk(merge.left, depth + 1)
-            walk(merge.right, depth + 1)
-
-        walk(root, 0)
+            stack += [(merge.right, depth + 1), (merge.left, depth + 1)]
         return "\n".join(lines) + "\n"
 
-    def render(node: int, parent_height: float) -> str:
-        if node < dg.n:
-            return f"{dg.leaf_names[node]}:{parent_height:.6f}"
-        merge = by_id[node]
-        inner = (
-            f"({render(merge.left, merge.height)},"
-            f"{render(merge.right, merge.height)})"
-        )
-        return f"{inner}:{parent_height - merge.height:.6f}"
-
-    if not dg.merges:
-        return f"{dg.leaf_names[0]};"
-    top = by_id[root]
-    body = (
-        f"({render(top.left, top.height)},"
-        f"{render(top.right, top.height)})"
-    )
-    return body + ";"
+    # Newick bottom-up: a merge's children are complete before it, and
+    # each subtree's text is consumed by its parent exactly once.
+    text = dict(enumerate(dg.leaf_names))
+    height = dict.fromkeys(text, 0.0)
+    for m in dg.merges:
+        a, b = m.left, m.right
+        text[m.new_id] = (f"({text.pop(a)}:{m.height - height[a]:.6f},"
+                          f"{text.pop(b)}:{m.height - height[b]:.6f})")
+        height[m.new_id] = m.height
+    return text[root] + ";"
 
 
 def write_distance_csv(
@@ -309,8 +296,10 @@ def write_distance_csv(
     """Full square matrix with id header row and column."""
     if len(ids) != d.n:
         raise ValueError("ids must cover every row")
-    full = d.full()
-    rows = ([row_id, *(fmt17(v) for v in full[i])] for i, row_id in enumerate(ids))
+    # "{:.17g}" is fmt17's format; the matrix is converted one row at a
+    # time so no n^2 Python floats are held at once.
+    rows = ([row_id, *map("{:.17g}".format, row.tolist())]
+            for row_id, row in zip(ids, d.full()))
     write_csv(path, ["id", *ids], rows, metadata)
 
 

@@ -5,7 +5,9 @@ exercised end to end.  Determinism is the core contract: every random draw
 comes from SplitMix64 in a documented fixed order (background noise
 row-major, then defect parameters, then defect pixels), and each image gets
 its own child generator seeded as seed XOR global index, so any image can be
-regenerated alone and still match the full run byte for byte.
+regenerated alone and still match the full run byte for byte.  The
+painters read that order in blocks (SplitMix64 is counter-based, see rng),
+so the documented order is the contract, not the number of calls.
 
 Rendering conventions, fixed so the classes are recoverable by both the
 classifiers and the clustering stage:
@@ -30,7 +32,7 @@ import numpy as np
 
 from .fmt import write_csv
 from .raster import Raster, write_ppm
-from .rng import SplitMix64
+from .rng import SplitMix64, index_below
 
 CLASS_NAMES = ("healthy", "crack", "erosion")
 
@@ -70,13 +72,14 @@ class GenConfig:
             raise ValueError("image size must be at least 16x16")
 
 
+def _in_range(u, lo: int, hi: int):
+    """Uniform integers in [lo, hi], one per uniform draw in u."""
+    return lo + index_below(u, hi - lo + 1)
+
+
 def _rand_int(rng: SplitMix64, lo: int, hi: int) -> int:
     """Uniform integer in [lo, hi] from one uniform draw."""
-    span = hi - lo + 1
-    j = int(rng.uniform() * span)
-    if j >= span:
-        j = span - 1
-    return lo + j
+    return int(_in_range(rng.uniform(), lo, hi))
 
 
 def _background(rng: SplitMix64, width: int, height: int) -> np.ndarray:
@@ -98,7 +101,9 @@ def _paint_crack(gray: np.ndarray, rng: SplitMix64) -> None:
     y = rng.uniform() * height
     angle = rng.uniform() * (2.0 * math.pi)
     steps = _rand_int(rng, *_CRACK_STEPS)
-    moves = [(rng.uniform(), _rand_int(rng, *_CRACK_WIDTH)) for _ in range(steps)]
+    moves = rng.uniforms(2 * steps)
+    turns = moves[0::2].tolist()
+    strokes = _in_range(moves[1::2], *_CRACK_WIDTH).tolist()
 
     painted: set[tuple[int, int]] = set()
 
@@ -112,7 +117,7 @@ def _paint_crack(gray: np.ndarray, rng: SplitMix64) -> None:
                 if 0 <= row < height and 0 <= col < width:
                     painted.add((row, col))
 
-    for turn, stroke in moves:
+    for turn, stroke in zip(turns, strokes):
         angle += (turn * 2.0 - 1.0) * _CRACK_TURN
         x += math.cos(angle)
         y += math.sin(angle)
@@ -122,8 +127,8 @@ def _paint_crack(gray: np.ndarray, rng: SplitMix64) -> None:
         stamp(x, y, stroke)
 
     # Pixel values last, in row-major order over the painted set.
-    for row, col in sorted(painted):
-        gray[row, col] = _rand_int(rng, *_CRACK_VALUE)
+    rows, cols = np.array(sorted(painted), dtype=np.int64).reshape(-1, 2).T
+    gray[rows, cols] = _in_range(rng.uniforms(rows.size), *_CRACK_VALUE)
 
 
 def _paint_erosion(gray: np.ndarray, rng: SplitMix64) -> None:
@@ -141,19 +146,35 @@ def _paint_erosion(gray: np.ndarray, rng: SplitMix64) -> None:
         cy = rng.uniform() * (height * _EROSION_BAND)
         params.append((cx, cy, radius))
     # Then per patch, row-major over the disc: a selection draw per pixel
-    # and a darkening amount for the selected 40%.
+    # and a darkening amount for the selected 40%.  The draw count depends
+    # on the draws, so read the 2n-draw upper bound ahead from a copy of
+    # the stream and advance it by the draws used.  Squares use Python's
+    # `**` (C pow) per row and column, the disc test's defined arithmetic;
+    # numpy's x * x could round a tie at the disc edge differently.
     for cx, cy, radius in params:
-        row_lo = max(0, math.floor(cy - radius))
-        row_hi = min(height - 1, math.ceil(cy + radius))
-        col_lo = max(0, math.floor(cx - radius))
-        col_hi = min(width - 1, math.ceil(cx + radius))
-        rr = radius * radius
-        for row in range(row_lo, row_hi + 1):
-            for col in range(col_lo, col_hi + 1):
-                if (col - cx) ** 2 + (row - cy) ** 2 <= rr:
-                    if rng.uniform() < _EROSION_DENSITY:
-                        amount = _rand_int(rng, *_EROSION_DARKEN)
-                        gray[row, col] = max(int(gray[row, col]) - amount, 0)
+        rows = range(max(0, math.floor(cy - radius)),
+                     min(height - 1, math.ceil(cy + radius)) + 1)
+        cols = range(max(0, math.floor(cx - radius)),
+                     min(width - 1, math.ceil(cx + radius)) + 1)
+        dx2 = np.array([(col - cx) ** 2 for col in cols])
+        dy2 = np.array([(row - cy) ** 2 for row in rows])
+        r, c = np.nonzero(dx2 + dy2[:, None] <= radius * radius)
+        u = SplitMix64(rng.state).uniforms(2 * r.size)
+        select = (u < _EROSION_DENSITY).tolist()
+        picked, amount_at = [], []
+        pos = 0
+        for k in range(r.size):
+            if select[pos]:
+                picked.append(k)
+                amount_at.append(pos + 1)
+                pos += 2
+            else:
+                pos += 1
+        rng.advance(pos)
+        r = r[picked] + rows.start
+        c = c[picked] + cols.start
+        amounts = _in_range(u[amount_at], *_EROSION_DARKEN)
+        gray[r, c] = np.maximum(gray[r, c] - amounts, 0)
 
 
 def generate_image(label: str, rng: SplitMix64, width: int, height: int) -> Raster:

@@ -52,6 +52,89 @@ def fisher_yates_reference(n: int, seed: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Scalar corpus painters: one uniform() per draw, in the documented order.
+# The package draws the same stream in blocks; `rng` is any object with a
+# scalar uniform(), and the constants are the generator's recipe.
+
+
+def rand_int_scalar(rng, lo: int, hi: int) -> int:
+    span = hi - lo + 1
+    j = int(rng.uniform() * span)
+    if j >= span:
+        j = span - 1
+    return lo + j
+
+
+def paint_crack_scalar(gray: np.ndarray, rng) -> None:
+    height, width = gray.shape
+    x = rng.uniform() * width
+    y = rng.uniform() * height
+    angle = rng.uniform() * (2.0 * math.pi)
+    steps = rand_int_scalar(rng, 30, 60)
+    moves = [(rng.uniform(), rand_int_scalar(rng, 1, 3)) for _ in range(steps)]
+
+    painted: set[tuple[int, int]] = set()
+
+    def stamp(px: float, py: float, stroke: int) -> None:
+        cx = math.floor(px)
+        cy = math.floor(py)
+        lo = -(stroke // 2)
+        for dy in range(lo, lo + stroke):
+            for dx in range(lo, lo + stroke):
+                row, col = cy + dy, cx + dx
+                if 0 <= row < height and 0 <= col < width:
+                    painted.add((row, col))
+
+    for turn, stroke in moves:
+        angle += (turn * 2.0 - 1.0) * (math.pi / 16.0)
+        x += math.cos(angle)
+        y += math.sin(angle)
+        x = min(max(x, 0.0), width - 1.0)
+        y = min(max(y, 0.0), height - 1.0)
+        stamp(x, y, stroke)
+
+    for row, col in sorted(painted):
+        gray[row, col] = rand_int_scalar(rng, 30, 60)
+
+
+def paint_erosion_scalar(gray: np.ndarray, rng) -> None:
+    height, width = gray.shape
+    patches = rand_int_scalar(rng, 3, 8)
+    params = []
+    slot = width / patches
+    for i in range(patches):
+        radius = rand_int_scalar(rng, 5, 15)
+        cx = (i + 0.5) * slot + (rng.uniform() - 0.5) * (slot * 0.5)
+        cy = rng.uniform() * (height * 0.125)
+        params.append((cx, cy, radius))
+    for cx, cy, radius in params:
+        row_lo = max(0, math.floor(cy - radius))
+        row_hi = min(height - 1, math.ceil(cy + radius))
+        col_lo = max(0, math.floor(cx - radius))
+        col_hi = min(width - 1, math.ceil(cx + radius))
+        rr = radius * radius
+        for row in range(row_lo, row_hi + 1):
+            for col in range(col_lo, col_hi + 1):
+                if (col - cx) ** 2 + (row - cy) ** 2 <= rr:
+                    if rng.uniform() < 0.4:
+                        amount = rand_int_scalar(rng, 40, 80)
+                        gray[row, col] = max(int(gray[row, col]) - amount, 0)
+
+
+def skewness_direct(grid: np.ndarray) -> np.ndarray:
+    """Features [6:9] of an (h, w, 3) uint8 grid, cubing every pixel's
+    deviation in numpy as the package once did."""
+    rgb = grid.astype(np.float64)
+    means = rgb.mean(axis=(0, 1))
+    sds = rgb.std(axis=(0, 1))
+    m3 = ((rgb - means) ** 3).mean(axis=(0, 1))
+    out = np.zeros(3)
+    nonzero = sds > 0.0
+    out[nonzero] = m3[nonzero] / sds[nonzero] ** 3
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Reference PPM writers (independent of the package writer)
 
 

@@ -1,5 +1,7 @@
 """Distance matrices, agglomeration vs naive oracle, cuts, exports."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -378,6 +380,43 @@ def test_text_export_layout():
     assert lines[2] == "    leaf x"
     assert lines[3] == "    leaf y"
     assert lines[4] == "  leaf z"
+
+
+def test_export_deep_chain():
+    # A chained tree (each merge adds one leaf) is n - 1 levels deep, past
+    # the default recursion limit.
+    n = 1500
+    names = [f"r{i}" for i in range(n)]
+    merges = [Merge(0, 1, 1.0, n)]
+    merges += [Merge(n + i - 2, i, float(i), n + i - 1) for i in range(2, n)]
+    dg = Dendrogram(n, merges, "single", names)
+
+    lines = export_dendrogram(dg, "text").splitlines()
+    assert len(lines) == 2 * n - 1
+    leaves = [line.strip()[len("leaf "):] for line in lines if "leaf" in line]
+    assert leaves == names
+    assert lines[0] == f"node {n - 1:.6f}"
+    assert lines[-1] == "  leaf r1499"
+    assert lines[n - 1] == "  " * (n - 1) + "leaf r0"
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * n)
+    try:
+        tree = parse_newick(export_dendrogram(dg, "newick"))
+    finally:
+        sys.setrecursionlimit(limit)
+    # Walk down the left spine: each level holds the chain so far and the
+    # leaf merged at that height.
+    found = []
+    node, depth = tree, 0.0
+    while not isinstance(node[0], str):
+        left, right = node[0]
+        depth += node[1] or 0.0
+        found.append((right[0], depth + right[1]))
+        node = left
+    found.append((node[0], depth + node[1]))
+    assert [name for name, _ in found] == names[::-1]
+    assert all(total == float(n - 1) for _, total in found)
 
 
 def test_export_single_leaf():

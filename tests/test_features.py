@@ -18,7 +18,12 @@ from blademl.features import (
 )
 from blademl.raster import Raster
 
-from oracles import features_ref, jacobi_eigenvalues, splitmix64_stream
+from oracles import (
+    features_ref,
+    jacobi_eigenvalues,
+    skewness_direct,
+    splitmix64_stream,
+)
 
 # Frozen from the straight-line reference: 3x3 all-black image with a white
 # center pixel.
@@ -73,6 +78,29 @@ def test_random_images_match_reference(seed, width, height):
     vec = extract_features(raster)
     ref = features_ref(width, height, samples)
     np.testing.assert_allclose(vec, ref, rtol=1e-9, atol=1e-9)
+
+
+def test_skewness_table_matches_direct_cubes():
+    # 1,200 rasters from 3x3 to 69x69: random, constant, two-valued and
+    # four adjacent values, each channel drawn on its own.
+    gen = np.random.default_rng(2024)
+    kinds = ("random", "constant", "binary", "narrow")
+    for case in range(1200):
+        width, height = (int(v) for v in gen.integers(3, 70, size=2))
+        shape = (height, width, 3)
+        kind = kinds[case % 4]
+        if kind == "random":
+            grid = gen.integers(0, 256, size=shape)
+        elif kind == "constant":
+            grid = np.broadcast_to(gen.integers(0, 256, size=3), shape)
+        elif kind == "binary":
+            pair = gen.integers(0, 256, size=(2, 3))
+            grid = np.where(gen.random(shape) < gen.random(), pair[0], pair[1])
+        else:
+            grid = gen.integers(0, 253, size=3) + gen.integers(0, 4, size=shape)
+        grid = np.ascontiguousarray(grid, dtype=np.uint8)
+        got = extract_features(Raster(width, height, grid.reshape(-1)))[6:9]
+        assert got.tobytes() == skewness_direct(grid).tobytes(), (case, kind)
 
 
 def test_histogram_sums_to_one():

@@ -20,6 +20,13 @@ FROZEN_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 FROZEN_SEED42 = [0xBDD732262FEB6E95, 0x28EFE333B266F103, 0x47526757130F9F52]
 
 
+def splitmix64_state_after(seed, draws):
+    rng = SplitMix64(seed)
+    for _ in range(draws):
+        rng.next_u64()
+    return rng.state
+
+
 def test_published_vector():
     rng = SplitMix64(1234567)
     assert [rng.next_u64() for _ in range(3)] == PUBLISHED_1234567
@@ -79,6 +86,23 @@ def test_uniforms_edge_counts():
         rng.uniforms(-1)
 
 
+@pytest.mark.parametrize("count", [0, 1, 7, 2**64 + 3])
+def test_advance_matches_draws(count):
+    # State after advance(k) equals k next_u64() calls; a count past 2^64
+    # wraps, and 2^64 draws return the stream to where it was.
+    seed = 2**64 - 5
+    rng = SplitMix64(seed)
+    rng.advance(count)
+    assert rng.state == splitmix64_state_after(seed, count % 2**64)
+
+
+def test_advance_rejects_negative_count():
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError):
+        rng.advance(-1)
+    assert rng.state == 1
+
+
 def test_shuffled_indices_is_permutation():
     rng = SplitMix64(3)
     for n in (0, 1, 2, 5, 33):
@@ -86,9 +110,16 @@ def test_shuffled_indices_is_permutation():
         assert sorted(out) == list(range(n))
 
 
-@pytest.mark.parametrize("n,seed", [(5, 7), (8, 0), (13, 42), (2, 1)])
+@pytest.mark.parametrize("n,seed", [(5, 7), (8, 0), (13, 42), (2, 1), (2000, 9)])
 def test_shuffle_matches_reference(n, seed):
     assert shuffled_indices(n, SplitMix64(seed)) == fisher_yates_reference(n, seed)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 40])
+def test_shuffle_draws_one_uniform_per_swap(n):
+    rng = SplitMix64(11)
+    shuffled_indices(n, rng)
+    assert rng.state == splitmix64_state_after(11, max(n - 1, 0))
 
 
 def test_shuffle_frozen_case():

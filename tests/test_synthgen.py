@@ -1,5 +1,8 @@
 """Synthetic corpus generator: determinism, file layout, class signal."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,9 +12,35 @@ from blademl.rng import SplitMix64
 from blademl.synthgen import (
     CLASS_NAMES,
     GenConfig,
+    _background,
+    _paint_crack,
+    _paint_erosion,
     generate_dataset,
     generate_image,
 )
+
+from digests import read_pinned
+from oracles import paint_crack_scalar, paint_erosion_scalar
+
+# sha256 per (class, size) of the rasters of seeds 0-99, concatenated, as
+# `generator_digests()` computes them.  Pinned with the per-pixel painters
+# kept in oracles.py; re-pin only for a deliberate change of image bytes.
+GOLDEN = Path(__file__).resolve().parent / "golden" / "synthgen.sha256"
+GOLDEN_SIZES = ((16, 16), (17, 23), (64, 64), (128, 128), (135, 61))
+GOLDEN_SEEDS = range(100)
+
+
+def generator_digests() -> dict:
+    """{"<class>/<width>x<height>": digest} over GOLDEN_SIZES and GOLDEN_SEEDS."""
+    out = {}
+    for label in CLASS_NAMES:
+        for width, height in GOLDEN_SIZES:
+            h = hashlib.sha256()
+            for seed in GOLDEN_SEEDS:
+                h.update(generate_image(label, SplitMix64(seed), width, height)
+                         .samples.tobytes())
+            out[f"{label}/{width}x{height}"] = h.hexdigest()
+    return out
 
 
 def test_class_names():
@@ -23,6 +52,29 @@ def test_generate_image_deterministic():
         a = generate_image(label, SplitMix64(11), 64, 64)
         b = generate_image(label, SplitMix64(11), 64, 64)
         assert a == b
+
+
+def test_generate_image_golden_digests():
+    assert generator_digests() == read_pinned(GOLDEN)
+
+
+@pytest.mark.parametrize("width,height", GOLDEN_SIZES)
+@pytest.mark.parametrize("painter,reference", [
+    (_paint_crack, paint_crack_scalar),
+    (_paint_erosion, paint_erosion_scalar),
+], ids=["crack", "erosion"])
+def test_painters_match_scalar_reference(painter, reference, width, height):
+    # Block draws against one uniform() per draw: same pixels, and the
+    # stream ends in the same state.
+    for seed in GOLDEN_SEEDS:
+        gray = _background(SplitMix64(seed), width, height)
+        expected = gray.copy()
+        rng = SplitMix64(seed * 7919 + 1)
+        ref_rng = SplitMix64(seed * 7919 + 1)
+        painter(gray, rng)
+        reference(expected, ref_rng)
+        assert gray.tobytes() == expected.tobytes(), seed
+        assert rng.state == ref_rng.state, seed
 
 
 def test_generate_image_channels_equal():
