@@ -166,9 +166,12 @@ def _read_labels(path) -> list[tuple[str, str]]:
     if not rows or rows[0][:2] != ["id", "label"]:
         raise ValueError(f"{path}: expected id,label header")
     entries = []
+    seen: dict[str, int] = {}
     for i, row in enumerate(rows[1:]):
         if len(row) != 2 or not row[0] or not row[1]:
             raise ValueError(f"{path}: malformed row {i + 1}")
+        if seen.setdefault(row[0], i + 1) != i + 1:
+            raise ValueError(f"{path}: {row[0]!r} on rows {seen[row[0]]} and {i + 1}")
         entries.append((row[0], row[1]))
     if not entries:
         raise ValueError(f"{path}: no labeled rows")

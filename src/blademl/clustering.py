@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMatrix, zscore_normalize
-from .fmt import write_csv
+from .fmt import write_csv, write_float_rows
 
 METRICS = ("euclidean", "cosine")
 LINKAGES = ("single", "complete", "average", "ward")
@@ -296,11 +296,7 @@ def write_distance_csv(
     """Full square matrix with id header row and column."""
     if len(ids) != d.n:
         raise ValueError("ids must cover every row")
-    # "{:.17g}" is fmt17's format; the matrix is converted one row at a
-    # time so no n^2 Python floats are held at once.
-    rows = ([row_id, *map("{:.17g}".format, row.tolist())]
-            for row_id, row in zip(ids, d.full()))
-    write_csv(path, ["id", *ids], rows, metadata)
+    write_float_rows(path, ["id", *ids], ([i] for i in ids), d.full(), metadata)
 
 
 def write_assignment_csv(

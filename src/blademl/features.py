@@ -15,6 +15,11 @@ clustering, CSV files) agrees on column meaning:
   [27]    dark-spot fraction: pixels with gray < mean - 2 sd (0 when sd = 0)
   [28-36] 3x3 grid of grayscale cell means / 255, row-major; cell bounds use
           floor division with remainder pixels assigned to the last cells
+
+Four float sums have order-dependent bits: channel variance and third moment
+add pixel after pixel in row-major order, per channel; gray variance and mean
+Sobel magnitude are numpy's pairwise sums over a contiguous row-major array.
+Every other sum is of integers, exact in any order.
 """
 
 from __future__ import annotations
@@ -23,14 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fmt import fmt17, read_csv, write_csv
-from .raster import Raster, to_grayscale
+from .fmt import read_csv, write_float_rows
+from .raster import Raster, luma
 
 FEATURE_COUNT = 37
 FEATURE_COLUMNS = [f"f{i:03d}" for i in range(FEATURE_COUNT)]
 
 _SOBEL_MAX = 255.0 * np.sqrt(32.0)
-_EDGE_THRESHOLD = 100.0
+_EDGE_THRESHOLD = 100
+_LEVELS = np.arange(256.0)
+_CHANNEL_BASE = np.arange(0, 768, 256)  # index of channel c's table entry 0
 
 
 def extract_features(r: Raster) -> np.ndarray:
@@ -45,54 +52,49 @@ def extract_features(r: Raster) -> np.ndarray:
     if r.width < 3 or r.height < 3:
         raise ValueError("image smaller than 3x3 has no gradient interior")
 
-    grid = r.grid()
-    rgb = grid.astype(np.float64)
+    n_pixels = r.width * r.height
+    pixels = r.samples.reshape(-1, 3)
     out = np.zeros(FEATURE_COUNT)
 
-    means = rgb.mean(axis=(0, 1))
-    sds = rgb.std(axis=(0, 1))
+    index = np.add(pixels, _CHANNEL_BASE, out=np.empty(pixels.shape, np.intp))
+    counts = np.bincount(index.reshape(-1), minlength=768).reshape(3, 256)
+    means = counts @ _LEVELS / n_pixels
+    deviations = _LEVELS - means[:, None]
+    table = np.stack([deviations * deviations, deviations ** 3], axis=-1)
+    # (n_pixels, 3, 2) summed over axis 0: pixel after pixel per channel.
+    sums = table.reshape(768, 2).take(index, axis=0).sum(axis=0)
+    sds = np.sqrt(sums[:, 0] / n_pixels)
+    m3 = sums[:, 1] / n_pixels
     out[0:3] = means / 255.0
     out[3:6] = sds / 255.0
-    # (x - mean) ** 3 through a table over the 256 values a uint8 sample
-    # can take: the same pow on the same doubles, reduced over an array of
-    # the same shape.
-    cubes = (np.arange(256.0)[:, None] - means) ** 3
-    m3 = cubes[grid, np.arange(3)].mean(axis=(0, 1))
     nonzero = sds > 0.0
     out[6:9][nonzero] = m3[nonzero] / sds[nonzero] ** 3
 
-    gray = to_grayscale(r).grid()[..., 0].astype(np.float64)
-    n_pixels = gray.size
-
-    bins = (gray.astype(np.int64) // 16).reshape(-1)
-    out[9:25] = np.bincount(bins, minlength=16) / n_pixels
-
-    gx = (
-        gray[:-2, 2:] + 2.0 * gray[1:-1, 2:] + gray[2:, 2:]
-        - gray[:-2, :-2] - 2.0 * gray[1:-1, :-2] - gray[2:, :-2]
-    )
-    gy = (
-        gray[2:, :-2] + 2.0 * gray[2:, 1:-1] + gray[2:, 2:]
-        - gray[:-2, :-2] - 2.0 * gray[:-2, 1:-1] - gray[:-2, 2:]
-    )
-    magnitude = np.sqrt(gx * gx + gy * gy)
-    out[25] = magnitude.mean() / _SOBEL_MAX
-    out[26] = float(np.mean(magnitude > _EDGE_THRESHOLD))
-
-    g_mean = gray.mean()
-    g_sd = gray.std()
+    gray = luma(pixels)
+    gray_counts = np.bincount(gray, minlength=256)
+    out[9:25] = gray_counts.reshape(16, 16).sum(axis=1) / n_pixels
+    g_mean = gray_counts @ _LEVELS / n_pixels
+    g_dev = _LEVELS - g_mean
+    g_sd = np.sqrt((g_dev * g_dev).take(gray).sum() / n_pixels)
     if g_sd > 0.0:
-        out[27] = float(np.mean(gray < g_mean - 2.0 * g_sd))
+        out[27] = gray_counts[_LEVELS < g_mean - 2.0 * g_sd].sum() / n_pixels
+
+    gray = gray.reshape(r.height, r.width)
+    vertical = gray[:-2] + 2 * gray[1:-1] + gray[2:]
+    horizontal = gray[:, :-2] + 2 * gray[:, 1:-1] + gray[:, 2:]
+    gx = vertical[:, 2:] - vertical[:, :-2]
+    gy = horizontal[2:] - horizontal[:-2]
+    squared = gx * gx + gy * gy
+    out[25] = np.sqrt(squared).mean() / _SOBEL_MAX
+    out[26] = np.count_nonzero(squared > _EDGE_THRESHOLD ** 2) / squared.size
 
     row_base = r.height // 3
     col_base = r.width // 3
-    row_edges = [0, row_base, 2 * row_base, r.height]
-    col_edges = [0, col_base, 2 * col_base, r.width]
-    for gi in range(3):
-        for gj in range(3):
-            cell = gray[row_edges[gi]:row_edges[gi + 1],
-                        col_edges[gj]:col_edges[gj + 1]]
-            out[28 + 3 * gi + gj] = cell.mean() / 255.0
+    rows = np.add.reduceat(gray, [0, row_base, 2 * row_base], axis=0, dtype=np.int64)
+    cells = np.add.reduceat(rows, [0, col_base, 2 * col_base], axis=1)
+    sizes = np.outer([row_base, row_base, r.height - 2 * row_base],
+                     [col_base, col_base, r.width - 2 * col_base])
+    out[28:37] = (cells / sizes).reshape(-1) / 255.0
     return out
 
 
@@ -214,11 +216,9 @@ def write_features_csv(m: FeatureMatrix, path, metadata: dict | None = None) -> 
     every output file records how it was produced.
     """
     labels = m.labels if m.labels is not None else [""] * m.n
-    rows = (
-        [m.ids[i], labels[i], *(fmt17(v) for v in m.values[i])]
-        for i in range(m.n)
+    write_float_rows(
+        path, ["id", "label", *m.columns], zip(m.ids, labels), m.values, metadata
     )
-    write_csv(path, ["id", "label", *m.columns], rows, metadata)
 
 
 def read_features_csv(path) -> FeatureMatrix:

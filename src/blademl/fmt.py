@@ -5,6 +5,7 @@ then a header row, then data rows, all with `\n` line ends.
 """
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -27,6 +28,23 @@ def write_csv(path, header, rows, metadata: dict | None = None) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_float_rows(path, header, keys, values, metadata: dict | None = None) -> None:
+    """write_csv for rows of key cells then reals: row i is keys[i] then
+    values[i], formatted by one `%` template into fmt17's strings."""
+    if values.shape[1] == 0:
+        raise ValueError("float rows need at least one value column")
+    template = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    with open(path, "w", newline="") as handle:
+        handle.write(metadata_lines(metadata))
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        for key, row in zip(keys, values):
+            # The empty last cell puts the comma before the values and keeps a
+            # lone empty key from being written as `""`; [:-1] drops the "\n".
+            key_text = io.StringIO()
+            csv.writer(key_text, lineterminator="\n").writerow([*key, ""])
+            handle.write(key_text.getvalue()[:-1] + template % tuple(row.tolist()))
 
 
 def read_csv(path) -> list[list[str]]:

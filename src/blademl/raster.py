@@ -189,20 +189,21 @@ def write_ppm(r: Raster, binary: bool = True) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def to_grayscale(r: Raster) -> Raster:
-    """Luma conversion round_half_up(0.299 R + 0.587 G + 0.114 B).
+def luma(rgb: np.ndarray) -> np.ndarray:
+    """Luma round_half_up(0.299 R + 0.587 G + 0.114 B) of (..., 3) samples.
 
-    The weights are exact thousandths, so the computation is done in integer
-    arithmetic: gray = (299 R + 587 G + 114 B + 500) // 1000.  This is
-    bit-exact across platforms and equals round-half-up of the real value.
-    """
+    The weights are exact thousandths, so this is the integer arithmetic
+    (299 R + 587 G + 114 B + 500) // 1000, exact on every platform; int32
+    holds the numerator's 255,500 maximum."""
+    rgb = rgb.astype(np.int32)
+    return (299 * rgb[..., 0] + 587 * rgb[..., 1] + 114 * rgb[..., 2] + 500) // 1000
+
+
+def to_grayscale(r: Raster) -> Raster:
+    """One-channel raster of the luma of every pixel (see luma)."""
     if r.channels != 3:
         raise ValueError("to_grayscale requires a 3-channel raster")
-    rgb = r.grid().astype(np.int64)
-    gray = (299 * rgb[..., 0] + 587 * rgb[..., 1] + 114 * rgb[..., 2] + 500) // 1000
-    # Weights sum to 1000, so gray <= 255 already; clip documents the clamp.
-    gray = np.clip(gray, 0, 255)
-    return Raster(r.width, r.height, gray.reshape(-1), channels=1)
+    return Raster(r.width, r.height, luma(r.samples.reshape(-1, 3)), channels=1)
 
 
 def quantization_params(n: int, m: int, k: int) -> tuple[int, int]:

@@ -8,6 +8,7 @@ package outputs against these oracles, never the other way around.
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 
@@ -247,6 +248,76 @@ def features_ref(width: int, height: int, samples: list[int]) -> list[float]:
                     count += 1
             out.append(total / count / 255.0)
     return out
+
+
+def extract_features_numpy(grid: np.ndarray) -> np.ndarray:
+    """The 37 features of an (h, w, 3) uint8 grid as the package once
+    computed them: float64 numpy reductions over the whole grid, one per
+    statistic.  Bit-exact reference for the package's extractor."""
+    height, width = grid.shape[:2]
+    rgb = grid.astype(np.float64)
+    out = np.zeros(37)
+
+    means = rgb.mean(axis=(0, 1))
+    sds = rgb.std(axis=(0, 1))
+    out[0:3] = means / 255.0
+    out[3:6] = sds / 255.0
+    cubes = (np.arange(256.0)[:, None] - means) ** 3
+    m3 = cubes[grid, np.arange(3)].mean(axis=(0, 1))
+    nonzero = sds > 0.0
+    out[6:9][nonzero] = m3[nonzero] / sds[nonzero] ** 3
+
+    wide = grid.astype(np.int64)
+    gray = (299 * wide[..., 0] + 587 * wide[..., 1] + 114 * wide[..., 2] + 500) // 1000
+    gray = gray.astype(np.float64)
+    n_pixels = gray.size
+
+    bins = (gray.astype(np.int64) // 16).reshape(-1)
+    out[9:25] = np.bincount(bins, minlength=16) / n_pixels
+
+    gx = (
+        gray[:-2, 2:] + 2.0 * gray[1:-1, 2:] + gray[2:, 2:]
+        - gray[:-2, :-2] - 2.0 * gray[1:-1, :-2] - gray[2:, :-2]
+    )
+    gy = (
+        gray[2:, :-2] + 2.0 * gray[2:, 1:-1] + gray[2:, 2:]
+        - gray[:-2, :-2] - 2.0 * gray[:-2, 1:-1] - gray[:-2, 2:]
+    )
+    magnitude = np.sqrt(gx * gx + gy * gy)
+    out[25] = magnitude.mean() / (255.0 * np.sqrt(32.0))
+    out[26] = float(np.mean(magnitude > 100.0))
+
+    g_mean = gray.mean()
+    g_sd = gray.std()
+    if g_sd > 0.0:
+        out[27] = float(np.mean(gray < g_mean - 2.0 * g_sd))
+
+    row_base = height // 3
+    col_base = width // 3
+    row_edges = [0, row_base, 2 * row_base, height]
+    col_edges = [0, col_base, 2 * col_base, width]
+    for gi in range(3):
+        for gj in range(3):
+            cell = gray[row_edges[gi]:row_edges[gi + 1],
+                        col_edges[gj]:col_edges[gj + 1]]
+            out[28 + 3 * gi + gj] = cell.mean() / 255.0
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Reference CSV writer for rows of key cells followed by reals
+
+
+def float_rows_csv_ref(path, header, keys, values, metadata=None) -> None:
+    """The csv.writer row path the feature and distance writers once took:
+    every value becomes its own `format(v, ".17g")` cell."""
+    with open(path, "w", newline="") as handle:
+        for key, value in (metadata or {}).items():
+            handle.write(f"# {key}: {value}\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for key, row in zip(keys, values):
+            writer.writerow([*key, *(format(float(v), ".17g") for v in row)])
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,36 @@ def test_features_missing_image_exit_1(pipeline, tmp_path, capsys):
     assert "ghost.ppm" in capsys.readouterr().err
 
 
+def test_features_rejects_repeated_image(pipeline, tmp_path, capsys):
+    # A repeated image would repeat its id in features.csv, clusters.csv
+    # and the dendrogram leaves.
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,label\nhealthy_000.ppm,healthy\ncrack_006.ppm,crack\n"
+                      "healthy_000.ppm,healthy\n")
+    out = tmp_path / "f.csv"
+    assert run("features", "--images", pipeline / "images", "--labels", labels,
+               "--out", out) == 1
+    assert f"error: {labels}: 'healthy_000.ppm' on rows 1 and 3" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_features_undersized_image_exit_1(pipeline, tmp_path, capsys):
+    # A 2x2 P6 decodes but has no Sobel interior; the error names its path
+    # even after an earlier image was extracted.
+    (tmp_path / "healthy_000.ppm").write_bytes(
+        (pipeline / "images" / "healthy_000.ppm").read_bytes())
+    (tmp_path / "tiny.ppm").write_bytes(b"P6\n2 2\n255\n" + bytes(range(12)))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,label\nhealthy_000.ppm,healthy\ntiny.ppm,crack\n")
+    out = tmp_path / "features.csv"
+    assert run("features", "--images", tmp_path, "--labels", labels,
+               "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'tiny.ppm'}: image smaller than 3x3" in err
+    assert not out.exists()
+
+
 def test_features_keeps_hash_prefixed_image(pipeline, tmp_path):
     # Only the `#` lines before the header are metadata.
     images = pipeline / "images"

@@ -20,6 +20,7 @@ from blademl.clustering import (
 from blademl.features import FeatureMatrix
 
 from oracles import (
+    float_rows_csv_ref,
     lance_williams_scan,
     linkage_oracle,
     parse_newick,
@@ -438,6 +439,22 @@ def test_write_distance_csv(tmp_path):
     assert lines[3] == "q,3,0"
     with pytest.raises(ValueError):
         write_distance_csv(d, ["p"], tmp_path / "bad.csv")
+
+
+@pytest.mark.parametrize("ids", [
+    ["a,b", 'say "hi"', "two\nlines", "#hash", " lead", ""], [""],
+], ids=["awkward", "lone-empty"])
+def test_distance_csv_matches_csv_writer_reference(tmp_path, ids):
+    n = len(ids)
+    condensed = np.abs(np.random.default_rng(3).normal(size=n * (n - 1) // 2))
+    specials = [0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0 / 3.0]
+    condensed[:len(specials)] = specials[:condensed.size]
+    d = DistanceMatrix(n, condensed, "euclidean", True)
+    meta = {"metric": "euclidean", "linkage": "ward"}
+    write_distance_csv(d, ids, tmp_path / "got.csv", metadata=meta)
+    float_rows_csv_ref(tmp_path / "want.csv", ["id", *ids], [[i] for i in ids],
+                       d.full(), meta)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_write_assignment_csv(tmp_path):

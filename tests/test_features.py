@@ -17,9 +17,13 @@ from blademl.features import (
     zscore_normalize,
 )
 from blademl.raster import Raster
+from blademl.rng import SplitMix64
+from blademl.synthgen import CLASS_NAMES, generate_image
 
 from oracles import (
+    extract_features_numpy,
     features_ref,
+    float_rows_csv_ref,
     jacobi_eigenvalues,
     skewness_direct,
     splitmix64_stream,
@@ -80,9 +84,9 @@ def test_random_images_match_reference(seed, width, height):
     np.testing.assert_allclose(vec, ref, rtol=1e-9, atol=1e-9)
 
 
-def test_skewness_table_matches_direct_cubes():
-    # 1,200 rasters from 3x3 to 69x69: random, constant, two-valued and
-    # four adjacent values, each channel drawn on its own.
+def _grid_families():
+    """1,200 (kind, grid) pairs from 3x3 to 69x69: random, constant,
+    two-valued and four adjacent values, each channel drawn on its own."""
     gen = np.random.default_rng(2024)
     kinds = ("random", "constant", "binary", "narrow")
     for case in range(1200):
@@ -98,9 +102,46 @@ def test_skewness_table_matches_direct_cubes():
             grid = np.where(gen.random(shape) < gen.random(), pair[0], pair[1])
         else:
             grid = gen.integers(0, 253, size=3) + gen.integers(0, 4, size=shape)
-        grid = np.ascontiguousarray(grid, dtype=np.uint8)
-        got = extract_features(Raster(width, height, grid.reshape(-1)))[6:9]
+        yield kind, np.ascontiguousarray(grid, dtype=np.uint8)
+
+
+def _generated_grids():
+    """Corpus rasters of every class at square, large and odd sizes."""
+    for label in CLASS_NAMES:
+        for width, height in ((16, 16), (64, 64), (128, 128), (135, 61)):
+            for seed in range(6):
+                raster = generate_image(label, SplitMix64(seed), width, height)
+                yield f"{label}-{width}x{height}-{seed}", raster.grid()
+
+
+def _extract(grid):
+    height, width = grid.shape[:2]
+    return extract_features(Raster(width, height, grid.reshape(-1)))
+
+
+def test_skewness_table_matches_direct_cubes():
+    for case, (kind, grid) in enumerate(_grid_families()):
+        got = _extract(grid)[6:9]
         assert got.tobytes() == skewness_direct(grid).tobytes(), (case, kind)
+
+
+@pytest.mark.parametrize("grids", [_grid_families, _generated_grids],
+                         ids=["families", "generated"])
+def test_extract_matches_numpy_reference(grids):
+    # All 37 columns, bit for bit, against the whole-grid numpy reductions.
+    for case, (kind, grid) in enumerate(grids()):
+        got = _extract(grid)
+        assert got.tobytes() == extract_features_numpy(grid).tobytes(), (case, kind)
+
+
+def test_dark_fraction_threshold_is_strict():
+    # 3 black and 12 gray-5 pixels: mean 4 and sd 2 exactly, so the dark
+    # threshold mean - 2 sd is exactly 0, and no pixel lies below it.
+    samples = [0] * 9 + [5] * 36
+    vec = extract_features(_raster(5, 3, samples))
+    assert vec[27] == 0.0
+    assert vec.tobytes() == extract_features_numpy(
+        np.array(samples, dtype=np.uint8).reshape(3, 5, 3)).tobytes()
 
 
 def test_histogram_sums_to_one():
@@ -347,6 +388,36 @@ def test_features_csv_hash_id_round_trip(tmp_path):
     assert back.ids == ["#a", "b"]
     assert back.labels == ["x", "#y"]
     assert np.array_equal(back.values, m.values)
+
+
+# Ids and labels that csv.writer must quote, or that sit next to a bare
+# comma: a lone empty cell is the one it writes as `""`.
+AWKWARD_CELLS = ["a,b", 'say "hi"', "two\nlines", "#hash", " lead", ""]
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                  np.inf, -np.inf, np.nan, 0.1, 1.0 / 3.0, -123456789.125]
+
+
+@pytest.mark.parametrize("labels", [list(reversed(AWKWARD_CELLS)), None],
+                         ids=["labeled", "unlabeled"])
+def test_features_csv_matches_csv_writer_reference(tmp_path, labels):
+    gen = np.random.default_rng(7)
+    values = gen.normal(scale=1e3, size=(len(AWKWARD_CELLS), FEATURE_COUNT))
+    values.reshape(-1)[:len(SPECIAL_VALUES)] = SPECIAL_VALUES
+    m = FeatureMatrix(AWKWARD_CELLS, labels, list(FEATURE_COLUMNS), values)
+    meta = {"images": "a dir", "labels": "x.csv"}
+    write_features_csv(m, tmp_path / "got.csv", metadata=meta)
+    float_rows_csv_ref(
+        tmp_path / "want.csv", ["id", "label", *FEATURE_COLUMNS],
+        zip(m.ids, labels or [""] * m.n), values, meta,
+    )
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_features_csv_rejects_zero_columns(tmp_path):
+    m = FeatureMatrix(["a"], None, [], np.empty((1, 0)))
+    with pytest.raises(ValueError, match="at least one value column"):
+        write_features_csv(m, tmp_path / "f.csv")
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_feature_matrix_validation():
