@@ -9,11 +9,9 @@ __version__ = "0.1.0"
 
 from .classifiers import (
     LogisticModel, MlpModel, NaiveBayesModel, TrainConfig, TreeModel,
-    cross_entropy_loss, gini_impurity, load_model, logit, mlp_forward,
-    mse_impurity, predict_logistic, predict_naive_bayes, predict_tree,
-    save_model, sgd_update, sigmoid, train_logistic, train_logistics,
-    train_mlp, train_mlps, train_naive_bayes, train_regression_tree,
-    train_tree,
+    cross_entropy_loss, gini_impurity, predict_logistic, predict_naive_bayes,
+    predict_tree, sigmoid, train_logistic, train_logistics, train_mlp,
+    train_mlps, train_naive_bayes, train_tree,
 )
 from .clustering import (
     ClusterAssignment, Dendrogram, DistanceMatrix, agglomerate,
@@ -29,14 +27,10 @@ from .evaluation import (
     regression_errors,
 )
 from .features import (
-    FeatureMatrix, NormalizationParams, PcaModel, extract_features,
-    pca_fit_transform, read_features_csv, write_features_csv,
-    zscore_normalize,
+    FeatureMatrix, NormalizationParams, extract_features, read_features_csv,
+    write_features_csv, zscore_normalize,
 )
-from .raster import (
-    PpmParseError, Raster, load_ppm, quantization_params, to_grayscale,
-    write_ppm,
-)
+from .raster import PpmParseError, Raster, load_ppm, to_grayscale, write_ppm
 from .rng import SplitMix64, shuffled_indices
 from .synthgen import GenConfig, generate_dataset, generate_image
 

@@ -7,9 +7,8 @@ aligned with the dataset's class order (entries nonnegative, summing to 1).
   - Logistic regression: one-vs-rest, full-batch gradient descent on the
     mean negative log-likelihood plus an L2 penalty on the non-intercept
     coefficients, zero initialization.
-  - Decision tree: greedy recursive partitioning on midpoint thresholds,
-    Gini impurity for classification and mean squared error for regression,
-    `x <= threshold` routed left.
+  - Decision tree: greedy recursive partitioning on midpoint thresholds by
+    Gini impurity, `x <= threshold` routed left.
   - Gaussian naive Bayes: class priors times per-feature Gaussian
     likelihoods with a variance floor, evaluated in log space.
   - Multilayer perceptron: configurable hidden layers, softmax output,
@@ -19,7 +18,6 @@ aligned with the dataset's class order (entries nonnegative, summing to 1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -92,13 +90,6 @@ def sigmoid(z):
     if np.ndim(z) == 0:
         return float(out[0])
     return out
-
-
-def logit(p: float) -> float:
-    """log(p / (1 - p)), the inverse of sigmoid; rejects p in {0, 1}."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("logit requires 0 < p < 1")
-    return math.log(p) - math.log1p(-p)
 
 
 def _check_finite(X: np.ndarray) -> None:
@@ -301,19 +292,10 @@ def gini_impurity(proportions) -> float:
     return 1.0 - float((p ** 2).sum())
 
 
-def mse_impurity(targets) -> float:
-    """Mean squared deviation from the node mean."""
-    t = np.asarray(targets, dtype=np.float64)
-    if t.size == 0:
-        raise ValueError("impurity of an empty target set is undefined")
-    return float(((t - t.mean()) ** 2).mean())
-
-
 @dataclass
 class TreeNode:
     """Internal nodes carry (feature, threshold, left, right); leaves carry
-    the class-count/probability tables (classification) or the target mean
-    (regression), plus the sample count."""
+    the class-count/probability tables; every node carries its sample count."""
 
     n: int
     feature: int | None = None
@@ -322,7 +304,6 @@ class TreeNode:
     right: "TreeNode | None" = None
     counts: np.ndarray | None = None
     probs: np.ndarray | None = None
-    mean: float | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -331,8 +312,7 @@ class TreeNode:
 
 @dataclass
 class TreeModel:
-    criterion: str
-    class_names: list[str] | None
+    class_names: list[str]
     feature_count: int
     root: TreeNode
     max_depth: int
@@ -347,25 +327,20 @@ def _gini_children(counts, sizes):
     return 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
 
 
-def _mse_children(sums, sizes):
-    """Biased variance sum(y^2)/size - (sum(y)/size)^2 per candidate child,
-    clipped at 0; sums holds the (sum(y), sum(y^2)) columns."""
-    return np.maximum(sums[:, 1] / sizes - (sums[:, 0] / sizes) ** 2, 0.0)
-
-
-def _best_split(X, stats, child_impurity, min_leaf, parent_impurity):
+def _best_split(X, y, counts, min_leaf, parent_impurity):
     """Best (decrease, feature, threshold) over all midpoint candidates.
 
-    stats holds one row of additive statistics per sample (one-hot classes,
-    or the target and its square).  For each feature, the left children's
-    sums are prefix sums in sorted order and the right children's are the
-    totals minus those; child_impurity(sums, sizes) scores them all.
+    counts holds the node's class counts.  For each feature, the left
+    children's class counts are prefix sums of one-hot rows in sorted order
+    and the right children's are counts minus those, exact integers either
+    way; _gini_children scores them all.
     decrease = parent - (n_l / n) * impurity_l - (n_r / n) * impurity_r.
     Ties: lowest feature index, then lowest threshold (strict > acceptance
     over ascending candidates).  Splits leaving a child below min_leaf are
     invalid.
     """
     n = X.shape[0]
+    onehot = np.eye(len(counts))[y]
     best_decrease = 0.0
     best_feature = None
     best_threshold = None
@@ -378,15 +353,11 @@ def _best_split(X, stats, child_impurity, min_leaf, parent_impurity):
         valid = distinct & (sizes_left >= min_leaf) & (sizes_right >= min_leaf)
         if not valid.any():
             continue
-        ordered = stats[order]
-        prefix = np.cumsum(ordered, axis=0)[:-1]
-        # A 1-D (pairwise) sum per column: a 2-D axis-0 sum adds in another
-        # order and moves the regression thresholds' bits.
-        totals = np.array([column.sum() for column in ordered.T])
+        prefix = np.cumsum(onehot[order], axis=0)[:-1]
         decrease = (
             parent_impurity
-            - (sizes_left / n) * child_impurity(prefix, sizes_left)
-            - (sizes_right / n) * child_impurity(totals - prefix, sizes_right)
+            - (sizes_left / n) * _gini_children(prefix, sizes_left)
+            - (sizes_right / n) * _gini_children(counts - prefix, sizes_right)
         )
         decrease[~valid] = -np.inf
         i = int(np.argmax(decrease))
@@ -397,28 +368,14 @@ def _best_split(X, stats, child_impurity, min_leaf, parent_impurity):
     return best_decrease, best_feature, best_threshold
 
 
-def _grow(X, y, k, depth, max_depth, min_leaf, classification):
+def _grow(X, y, k, depth, max_depth, min_leaf):
     n = X.shape[0]
-    if classification:
-        counts = np.bincount(y, minlength=k)
-        leaf = TreeNode(
-            n=n, counts=counts, probs=counts / n, mean=None
-        )
-        impurity = 1.0 - ((counts / n) ** 2).sum()
-        pure = int(counts.max()) == n
-        stats = np.eye(k)[y]
-        child_impurity = _gini_children
-    else:
-        leaf = TreeNode(n=n, mean=float(y.mean()))
-        impurity = mse_impurity(y)
-        pure = impurity == 0.0
-        stats = np.column_stack((y, y ** 2))
-        child_impurity = _mse_children
-    if depth >= max_depth or pure or n < 2 * min_leaf:
+    counts = np.bincount(y, minlength=k)
+    leaf = TreeNode(n=n, counts=counts, probs=counts / n)
+    if depth >= max_depth or int(counts.max()) == n or n < 2 * min_leaf:
         return leaf
-    decrease, feature, threshold = _best_split(
-        X, stats, child_impurity, min_leaf, impurity
-    )
+    impurity = 1.0 - ((counts / n) ** 2).sum()
+    decrease, feature, threshold = _best_split(X, y, counts, min_leaf, impurity)
     if feature is None or decrease <= 0.0:
         return leaf
     mask = X[:, feature] <= threshold
@@ -428,10 +385,8 @@ def _grow(X, y, k, depth, max_depth, min_leaf, classification):
         n=n,
         feature=feature,
         threshold=float(threshold),
-        left=_grow(X[mask], y[mask], k, depth + 1, max_depth, min_leaf,
-                   classification),
-        right=_grow(X[~mask], y[~mask], k, depth + 1, max_depth, min_leaf,
-                    classification),
+        left=_grow(X[mask], y[mask], k, depth + 1, max_depth, min_leaf),
+        right=_grow(X[~mask], y[~mask], k, depth + 1, max_depth, min_leaf),
     )
 
 
@@ -444,38 +399,20 @@ def train_tree(ds: LabeledDataset, cfg: TrainConfig | None = None) -> TreeModel:
     _check_finite(X)
     max_depth = cfg.resolved("max_depth", TREE_DEFAULTS)
     min_leaf = cfg.resolved("min_leaf", TREE_DEFAULTS)
-    root = _grow(X, ds.y, len(ds.class_names), 0, max_depth, min_leaf, True)
-    return TreeModel("gini", list(ds.class_names), X.shape[1], root,
-                     max_depth, min_leaf)
-
-
-def train_regression_tree(X, targets, cfg: TrainConfig | None = None) -> TreeModel:
-    """Grow a regression tree by greedy MSE-decrease splitting."""
-    cfg = cfg or TrainConfig()
-    X = np.asarray(X, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != targets.shape[0] or X.shape[0] < 1:
-        raise ValueError("X and targets must be nonempty with matching rows")
-    _check_finite(X)
-    _check_finite(targets)
-    max_depth = cfg.resolved("max_depth", TREE_DEFAULTS)
-    min_leaf = cfg.resolved("min_leaf", TREE_DEFAULTS)
-    root = _grow(X, targets, 0, 0, max_depth, min_leaf, False)
-    return TreeModel("mse", None, X.shape[1], root, max_depth, min_leaf)
+    root = _grow(X, ds.y, len(ds.class_names), 0, max_depth, min_leaf)
+    return TreeModel(list(ds.class_names), X.shape[1], root, max_depth, min_leaf)
 
 
 def predict_tree(model: TreeModel, x):
     """Route x down threshold comparisons (`<=` goes left); returns the leaf
-    class-probability table, or the leaf mean in regression mode."""
+    class-probability table."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.feature_count,):
         raise ValueError("feature count mismatch")
     node = model.root
     while not node.is_leaf:
         node = node.left if x[node.feature] <= node.threshold else node.right
-    if model.criterion == "gini":
-        return node.probs.copy()
-    return node.mean
+    return node.probs.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +453,8 @@ def train_naive_bayes(ds: LabeledDataset) -> NaiveBayesModel:
     Variances are population (divisor n) and floored at
     eps_var = 1e-9 * max over features of the total population variance
     (that maximum itself floored at 1e-12), so constant features never
-    produce degenerate densities.
+    produce degenerate densities.  A mean or variance that overflows raises
+    ValueError naming the feature and class.
     """
     if len(ds.class_names) < 2:
         raise ValueError("naive Bayes requires at least 2 classes")
@@ -527,15 +465,32 @@ def train_naive_bayes(ds: LabeledDataset) -> NaiveBayesModel:
     counts = np.bincount(ds.y, minlength=k)
     if int(counts.min()) == 0:
         raise ValueError("every class needs at least one sample")
-    eps_var = 1e-9 * max(float(X.var(axis=0).max()), 1e-12)
-    priors = counts / n
     means = np.empty((k, p))
     variances = np.empty((k, p))
-    for c in range(k):
-        rows = X[ds.y == c]
-        means[c] = rows.mean(axis=0)
-        variances[c] = np.maximum(rows.var(axis=0), eps_var)
-    return NaiveBayesModel(list(ds.class_names), priors, means, variances, eps_var)
+    # Overflow is reported by the finite checks below, not numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = X.var(axis=0)
+        for c in range(k):
+            rows = X[ds.y == c]
+            means[c] = rows.mean(axis=0)
+            variances[c] = rows.var(axis=0)
+    bad = np.argwhere(~(np.isfinite(means) & np.isfinite(variances)))
+    if bad.size:
+        c, j = bad[0]
+        raise ValueError(
+            f"naive Bayes mean or variance of feature {j} for class "
+            f"{ds.class_names[c]!r} is not finite"
+        )
+    bad = np.flatnonzero(~np.isfinite(spread))
+    if bad.size:
+        raise ValueError(
+            f"naive Bayes variance of feature {bad[0]} over all classes is "
+            "not finite"
+        )
+    eps_var = 1e-9 * max(float(spread.max()), 1e-12)
+    variances = np.maximum(variances, eps_var)
+    return NaiveBayesModel(list(ds.class_names), counts / n, means, variances,
+                           eps_var)
 
 
 def predict_naive_bayes(model: NaiveBayesModel, x) -> np.ndarray:
@@ -606,15 +561,6 @@ def init_mlp(
         weights.append((2.0 * draws - 1.0) / math.sqrt(fan_in))
         biases.append(np.zeros(fan_out))
     return MlpModel(class_names, list(layer_sizes), weights, biases, activation)
-
-
-def mlp_forward(model: MlpModel, x) -> np.ndarray:
-    """Class-probability table for one input row (softmax output layer,
-    row max subtracted for stability)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.layer_sizes[0],):
-        raise ValueError("feature count mismatch")
-    return model.predict_proba(x[None, :])[0]
 
 
 # Networks train and backpropagate as stacks: weights[l] has shape
@@ -707,27 +653,6 @@ def cross_entropy_loss(predicted, actual: str, class_names: list[str]) -> float:
         raise ValueError(f"unknown label {actual!r}")
     value = float(p[class_names.index(actual)])
     return -math.log(min(max(value, PROB_CLIP), 1.0 - PROB_CLIP))
-
-
-def sgd_update(params, gradient, rate: float):
-    """One descent step: params - rate * gradient, elementwise, over an
-    array or a (possibly nested) sequence of arrays."""
-    if rate <= 0.0:
-        raise ValueError("learning rate must be positive")
-    return _sgd_step_checked(params, gradient, rate)
-
-
-def _sgd_step_checked(params, gradient, rate):
-    if isinstance(params, (list, tuple)):
-        if not isinstance(gradient, (list, tuple)) or len(params) != len(gradient):
-            raise ValueError("parameter/gradient shape mismatch")
-        return [_sgd_step_checked(p, g, rate) for p, g in zip(params, gradient)]
-    p = np.asarray(params, dtype=np.float64)
-    g = np.asarray(gradient, dtype=np.float64)
-    if p.shape != g.shape:
-        raise ValueError("parameter/gradient shape mismatch")
-    out = p - rate * g
-    return float(out) if out.ndim == 0 else out
 
 
 def train_mlps(
@@ -830,18 +755,16 @@ def train_mlp(ds: LabeledDataset, cfg: TrainConfig | None = None) -> MlpModel:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# JSON export
 
 
 def _node_to_dict(node: TreeNode) -> dict:
     if node.is_leaf:
-        doc = {"n": node.n}
-        if node.counts is not None:
-            doc["counts"] = [int(c) for c in node.counts]
-            doc["probs"] = [float(p) for p in node.probs]
-        if node.mean is not None:
-            doc["mean"] = float(node.mean)
-        return doc
+        return {
+            "n": node.n,
+            "counts": [int(c) for c in node.counts],
+            "probs": [float(p) for p in node.probs],
+        }
     return {
         "n": node.n,
         "feature": int(node.feature),
@@ -851,27 +774,9 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(doc: dict) -> TreeNode:
-    if "feature" not in doc:
-        counts = doc.get("counts")
-        return TreeNode(
-            n=doc["n"],
-            counts=None if counts is None else np.array(counts),
-            probs=None if counts is None else np.array(doc["probs"]),
-            mean=doc.get("mean"),
-        )
-    return TreeNode(
-        n=doc["n"],
-        feature=doc["feature"],
-        threshold=doc["threshold"],
-        left=_node_from_dict(doc["left"]),
-        right=_node_from_dict(doc["right"]),
-    )
-
-
 def model_to_json(model) -> str:
     """Self-describing JSON for any trained model; reals carry 17
-    significant digits so reloading reproduces predictions bit-identically."""
+    significant digits, so the document holds every bit of the model."""
     if isinstance(model, LogisticModel):
         doc = {
             "kind": "logistic",
@@ -882,7 +787,7 @@ def model_to_json(model) -> str:
     elif isinstance(model, TreeModel):
         doc = {
             "kind": "tree",
-            "criterion": model.criterion,
+            "criterion": "gini",
             "classes": model.class_names,
             "feature_count": model.feature_count,
             "max_depth": model.max_depth,
@@ -910,46 +815,3 @@ def model_to_json(model) -> str:
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
     return render_json(doc) + "\n"
-
-
-def model_from_json(text: str):
-    """Inverse of model_to_json."""
-    doc = json.loads(text)
-    kind = doc.get("kind")
-    if kind == "logistic":
-        return LogisticModel(
-            doc["classes"],
-            np.array(doc["intercepts"], dtype=np.float64),
-            np.array(doc["coefficients"], dtype=np.float64),
-        )
-    if kind == "tree":
-        return TreeModel(
-            doc["criterion"], doc["classes"], doc["feature_count"],
-            _node_from_dict(doc["root"]), doc["max_depth"], doc["min_leaf"],
-        )
-    if kind == "naive_bayes":
-        return NaiveBayesModel(
-            doc["classes"],
-            np.array(doc["priors"], dtype=np.float64),
-            np.array(doc["means"], dtype=np.float64),
-            np.array(doc["variances"], dtype=np.float64),
-            float(doc["eps_var"]),
-        )
-    if kind == "mlp":
-        return MlpModel(
-            doc["classes"], list(doc["layer_sizes"]),
-            [np.array(w, dtype=np.float64) for w in doc["weights"]],
-            [np.array(b, dtype=np.float64) for b in doc["biases"]],
-            doc["activation"],
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
-def save_model(model, path) -> None:
-    with open(path, "w") as handle:
-        handle.write(model_to_json(model))
-
-
-def load_model(path):
-    with open(path, "r") as handle:
-        return model_from_json(handle.read())

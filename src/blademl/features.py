@@ -1,4 +1,4 @@
-"""Hand-crafted 37-dimensional image features, z-score normalization, PCA.
+"""Hand-crafted 37-dimensional image features and z-score normalization.
 
 The feature layout is fixed so that every stage downstream (classifiers,
 clustering, CSV files) agrees on column meaning:
@@ -166,47 +166,6 @@ def zscore_normalize(m: FeatureMatrix) -> tuple[FeatureMatrix, NormalizationPara
     params = NormalizationParams(m.values.mean(axis=0), m.values.std(axis=0))
     normalized = FeatureMatrix(m.ids, m.labels, m.columns, params.apply(m.values))
     return normalized, params
-
-
-@dataclass
-class PcaModel:
-    """Column means, orthonormal component rows, explained variances."""
-
-    mean: np.ndarray
-    components: np.ndarray
-    explained_variances: np.ndarray
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=np.float64) - self.mean) @ self.components.T
-
-
-def pca_fit_transform(m: FeatureMatrix, d: int) -> tuple[PcaModel, FeatureMatrix]:
-    """Principal component projection onto the top d eigen-directions.
-
-    Covariance uses divisor n - 1.  Components are ordered by eigenvalue
-    descending (stable under ties) and sign-fixed so each component's entry
-    of largest absolute value is positive, ties resolved by lowest index.
-    """
-    n, width = m.values.shape
-    if n < 2:
-        raise ValueError("PCA requires at least 2 rows")
-    if not 1 <= d <= min(n, width):
-        raise ValueError(f"component count {d} outside [1, {min(n, width)}]")
-    mean = m.values.mean(axis=0)
-    centered = m.values - mean
-    cov = centered.T @ centered / (n - 1)
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    order = np.argsort(-eigenvalues, kind="stable")[:d]
-    components = eigenvectors[:, order].T.copy()
-    variances = np.maximum(eigenvalues[order], 0.0)
-    for row in components:
-        pivot = int(np.argmax(np.abs(row)))
-        if row[pivot] < 0.0:
-            row *= -1.0
-    model = PcaModel(mean, components, variances)
-    projected = centered @ components.T
-    columns = [f"pc{i:03d}" for i in range(d)]
-    return model, FeatureMatrix(m.ids, m.labels, columns, projected)
 
 
 def write_features_csv(m: FeatureMatrix, path, metadata: dict | None = None) -> None:

@@ -21,13 +21,24 @@ def metadata_lines(metadata: dict | None) -> str:
     return "".join(f"# {key}: {value}\n" for key, value in (metadata or {}).items())
 
 
+def _csv_row(cells) -> str:
+    """One CSV row ending in `\n`.
+
+    csv.writer quotes a cell that holds a character of its line terminator,
+    so the row is written with `\r\n` (a cell holding `\r` or `\n` is
+    quoted) and that terminator is swapped for `\n`.
+    """
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\r\n").writerow(cells)
+    return line.getvalue()[:-2] + "\n"
+
+
 def write_csv(path, header, rows, metadata: dict | None = None) -> None:
     """Write metadata lines, the header row and the data rows to path."""
     with open(path, "w", newline="") as handle:
         handle.write(metadata_lines(metadata))
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(_csv_row(header))
+        handle.writelines(map(_csv_row, rows))
 
 
 def write_float_rows(path, header, keys, values, metadata: dict | None = None) -> None:
@@ -38,13 +49,11 @@ def write_float_rows(path, header, keys, values, metadata: dict | None = None) -
     template = ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w", newline="") as handle:
         handle.write(metadata_lines(metadata))
-        csv.writer(handle, lineterminator="\n").writerow(header)
+        handle.write(_csv_row(header))
         for key, row in zip(keys, values):
             # The empty last cell puts the comma before the values and keeps a
             # lone empty key from being written as `""`; [:-1] drops the "\n".
-            key_text = io.StringIO()
-            csv.writer(key_text, lineterminator="\n").writerow([*key, ""])
-            handle.write(key_text.getvalue()[:-1] + template % tuple(row.tolist()))
+            handle.write(_csv_row([*key, ""])[:-1] + template % tuple(row.tolist()))
 
 
 def read_csv(path) -> list[list[str]]:

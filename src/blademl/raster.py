@@ -1,8 +1,7 @@
 """PPM image decoding and pixel-grid arithmetic.
 
 An image is modeled as a discrete function f(x, y) over N columns and M rows
-with k bits per sample, so the gray range is [0, 2^k - 1] and the raw storage
-cost is N * M * k bits.  Only PPM (P3/P6, maxval 255) input is supported,
+with 8 bits per sample.  Only PPM (P3/P6, maxval 255) input is supported,
 because it is the one common format that can be decoded bit-exactly without
 pulling in a codec.
 """
@@ -12,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
-_U64_MAX = (1 << 64) - 1
 
 
 class PpmParseError(ValueError):
@@ -204,20 +202,3 @@ def to_grayscale(r: Raster) -> Raster:
     if r.channels != 3:
         raise ValueError("to_grayscale requires a 3-channel raster")
     return Raster(r.width, r.height, luma(r.samples.reshape(-1, 3)), channels=1)
-
-
-def quantization_params(n: int, m: int, k: int) -> tuple[int, int]:
-    """Gray-level ceiling G = 2^k - 1 and storage cost N * M * k bits.
-
-    Counts are bounded to the unsigned 64-bit range; exceeding it raises
-    OverflowError instead of wrapping.
-    """
-    if n < 1 or m < 1 or k < 1:
-        raise ValueError("N, M, k must all be at least 1")
-    if k > 64:
-        raise OverflowError(f"gray-level range for k={k} exceeds 64-bit counts")
-    g = (1 << k) - 1
-    storage_bits = n * m * k
-    if storage_bits > _U64_MAX:
-        raise OverflowError("storage bit count exceeds 64-bit range")
-    return g, storage_bits

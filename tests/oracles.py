@@ -321,43 +321,6 @@ def float_rows_csv_ref(path, header, keys, values, metadata=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigensolver (symmetric matrices) for PCA cross-checks
-
-
-def jacobi_eigenvalues(matrix: list[list[float]]) -> list[float]:
-    a = [row[:] for row in matrix]
-    size = len(a)
-    for _ in range(100):
-        off = 0.0
-        for i in range(size):
-            for j in range(i + 1, size):
-                off += a[i][j] ** 2
-        if off < 1e-24:
-            break
-        for p in range(size):
-            for q in range(p + 1, size):
-                if abs(a[p][q]) < 1e-18:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(size):
-                    akp = a[k][p]
-                    akq = a[k][q]
-                    a[k][p] = c * akp - s * akq
-                    a[k][q] = s * akp + c * akq
-                for k in range(size):
-                    apk = a[p][k]
-                    aqk = a[q][k]
-                    a[p][k] = c * apk - s * aqk
-                    a[q][k] = s * apk + c * aqk
-    return sorted((a[i][i] for i in range(size)), reverse=True)
-
-
-# ---------------------------------------------------------------------------
 # Metric references
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from blademl.evaluation import (
     cross_validate,
     mean_log_loss,
     regression_errors,
+    train_folds,
     write_comparison_csv,
     write_confusion_csv,
     write_report_csv,
@@ -481,3 +483,17 @@ def test_comparison_csv_empty_diagonal(tmp_path):
     assert rows[1][1] == ""
     assert rows[2][2] == ""
     assert float(rows[1][2]) + float(rows[2][1]) == 1.0
+
+
+def test_train_folds_names_nonfinite_naive_bayes_fold():
+    def part(scale):
+        X = np.array([[1.0], [-1.0], [3.0], [2.0]]) * scale
+        m = FeatureMatrix(["r0", "r1", "r2", "r3"], ["a", "a", "b", "b"],
+                          ["c0"], X)
+        return LabeledDataset.from_matrix(m)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^fold 1: naive Bayes mean or "
+                           "variance of feature 0 for class 'a' is not finite$"):
+            train_folds(ModelSpec("nb", "nb"), [part(1.0), part(1e200)])

@@ -1,21 +1,22 @@
-"""Feature extraction, normalization, PCA, and the feature CSV format."""
+"""Feature extraction, normalization, and the feature CSV format."""
 
 import math
 
 import numpy as np
 import pytest
 
+from blademl.clustering import pairwise_distances, write_distance_csv
 from blademl.features import (
     FEATURE_COLUMNS,
     FEATURE_COUNT,
     FeatureMatrix,
     NormalizationParams,
     extract_features,
-    pca_fit_transform,
     read_features_csv,
     write_features_csv,
     zscore_normalize,
 )
+from blademl.fmt import read_csv, write_csv
 from blademl.raster import Raster
 from blademl.rng import SplitMix64
 from blademl.synthgen import CLASS_NAMES, generate_image
@@ -24,7 +25,6 @@ from oracles import (
     extract_features_numpy,
     features_ref,
     float_rows_csv_ref,
-    jacobi_eigenvalues,
     skewness_direct,
     splitmix64_stream,
 )
@@ -262,76 +262,6 @@ def test_normalization_params_reject_nonfinite():
 
 
 # ---------------------------------------------------------------------------
-# PCA
-
-
-def test_pca_rank_one_line():
-    direction = np.array([3.0, 4.0]) / 5.0
-    t = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    points = np.array([10.0, -5.0]) + t[:, None] * direction
-    model, projected = pca_fit_transform(_matrix(points), 1)
-    assert abs(abs(float(model.components[0] @ direction)) - 1.0) < 1e-9
-    assert model.explained_variances[0] == pytest.approx(t.var(ddof=1), abs=1e-9)
-    # Projected coordinates recover t up to the fixed sign convention.
-    assert np.abs(projected.values[:, 0]) == pytest.approx(np.abs(t), abs=1e-9)
-
-
-def test_pca_full_rank_reconstruction():
-    raw = np.array(splitmix64_stream(8, 60), dtype=np.float64).reshape(12, 5)
-    raw = raw / 2.0**63
-    m = _matrix(raw)
-    model, projected = pca_fit_transform(m, 5)
-    rebuilt = projected.values @ model.components + model.mean
-    np.testing.assert_allclose(rebuilt, raw, atol=1e-6)
-
-
-def test_pca_eigenvalues_match_jacobi():
-    raw = np.array(splitmix64_stream(9, 60), dtype=np.float64).reshape(10, 6)
-    raw = raw / 2.0**62
-    m = _matrix(raw)
-    model, _ = pca_fit_transform(m, 6)
-    centered = raw - raw.mean(axis=0)
-    cov = centered.T @ centered / (raw.shape[0] - 1)
-    ref = jacobi_eigenvalues(cov.tolist())
-    np.testing.assert_allclose(model.explained_variances, ref, atol=1e-8)
-
-
-def test_pca_orthonormal_components():
-    raw = np.array(splitmix64_stream(10, 80), dtype=np.float64).reshape(16, 5)
-    raw = raw / 2.0**62
-    model, _ = pca_fit_transform(_matrix(raw), 4)
-    gram = model.components @ model.components.T
-    np.testing.assert_allclose(gram, np.eye(4), atol=1e-9)
-
-
-def test_pca_sign_convention():
-    raw = np.array(splitmix64_stream(11, 60), dtype=np.float64).reshape(12, 5)
-    raw = raw / 2.0**62
-    model, _ = pca_fit_transform(_matrix(raw), 5)
-    for row in model.components:
-        assert row[int(np.argmax(np.abs(row)))] > 0.0
-
-
-def test_pca_apply_matches_fit_transform():
-    raw = np.array(splitmix64_stream(12, 40), dtype=np.float64).reshape(8, 5)
-    raw = raw / 2.0**62
-    m = _matrix(raw)
-    model, projected = pca_fit_transform(m, 3)
-    np.testing.assert_allclose(model.apply(raw), projected.values, atol=1e-12)
-    assert projected.columns == ["pc000", "pc001", "pc002"]
-
-
-def test_pca_validation():
-    m = _matrix(np.ones((4, 3)))
-    with pytest.raises(ValueError):
-        pca_fit_transform(m, 0)
-    with pytest.raises(ValueError):
-        pca_fit_transform(m, 4)
-    with pytest.raises(ValueError):
-        pca_fit_transform(_matrix(np.ones((1, 3))), 1)
-
-
-# ---------------------------------------------------------------------------
 # CSV round-trip
 
 
@@ -388,6 +318,26 @@ def test_features_csv_hash_id_round_trip(tmp_path):
     assert back.ids == ["#a", "b"]
     assert back.labels == ["x", "#y"]
     assert np.array_equal(back.values, m.values)
+
+
+def test_csv_writers_round_trip_carriage_return(tmp_path):
+    # csv.writer with a `\n` line terminator quotes `\n` but not `\r`; an
+    # unquoted `\r` inside a cell ends the row when the file is read back.
+    ids = ["x\ry", "b"]
+    write_csv(tmp_path / "plain.csv", ["id", "n"], [[ids[0], 1], [ids[1], 2]])
+    assert read_csv(tmp_path / "plain.csv") == [
+        ["id", "n"], ["x\ry", "1"], ["b", "2"],
+    ]
+    m = FeatureMatrix(ids, ["p\r", "q"], ["c0"], np.array([[1.0], [2.0]]))
+    write_features_csv(m, tmp_path / "features.csv")
+    back = read_features_csv(tmp_path / "features.csv")
+    assert (back.ids, back.labels) == (m.ids, m.labels)
+    assert np.array_equal(back.values, m.values)
+    write_distance_csv(pairwise_distances(m), ids, tmp_path / "distances.csv")
+    rows = read_csv(tmp_path / "distances.csv")
+    assert rows[0] == ["id", *ids]
+    assert [row[0] for row in rows[1:]] == ids
+    assert all(len(row) == 3 for row in rows)
 
 
 # Ids and labels that csv.writer must quote, or that sit next to a bare

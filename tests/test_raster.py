@@ -1,4 +1,4 @@
-"""PPM decode/encode, grayscale conversion, and quantization arithmetic."""
+"""PPM decode/encode and grayscale conversion."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from blademl.raster import (
     PpmZeroDimensionError,
     Raster,
     load_ppm,
-    quantization_params,
     to_grayscale,
     write_ppm,
 )
@@ -154,23 +153,6 @@ def test_grayscale_rejects_single_channel():
     gray = Raster(2, 2, [0, 1, 2, 3], channels=1)
     with pytest.raises(ValueError):
         to_grayscale(gray)
-
-
-def test_quantization_frozen_values():
-    assert quantization_params(1, 1, 8) == (255, 8)
-    assert quantization_params(4, 4, 1) == (1, 16)
-    assert quantization_params(128, 128, 8) == (255, 131072)
-
-
-def test_quantization_validation():
-    with pytest.raises(ValueError):
-        quantization_params(0, 1, 8)
-    with pytest.raises(ValueError):
-        quantization_params(1, 1, 0)
-    with pytest.raises(OverflowError):
-        quantization_params(1, 1, 65)
-    with pytest.raises(OverflowError):
-        quantization_params(2**32, 2**32, 2)
 
 
 def test_raster_validation():
