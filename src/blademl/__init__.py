@@ -30,7 +30,7 @@ from .features import (
     FeatureMatrix, NormalizationParams, extract_features, read_features_csv,
     write_features_csv, zscore_normalize,
 )
-from .raster import PpmParseError, Raster, load_ppm, to_grayscale, write_ppm
+from .raster import PpmParseError, Raster, load_ppm, write_ppm
 from .rng import SplitMix64, shuffled_indices
 from .synthgen import GenConfig, generate_dataset, generate_image
 

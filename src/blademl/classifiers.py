@@ -82,14 +82,19 @@ class TrainConfig:
 
 def sigmoid(z):
     """Numerically stable 1 / (1 + exp(-z)); exponentiates only -|z|."""
-    arr = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    e = np.exp(-np.abs(arr))
+    out = np.atleast_1d(np.array(z, dtype=np.float64))
+    _sigmoid_inplace(out, np.empty_like(out), np.empty_like(out))
+    return float(out[0]) if np.ndim(z) == 0 else out
+
+
+def _sigmoid_inplace(z, e, pos):
+    """Overwrite float64 z with sigmoid(z); e and pos are float64 scratch."""
+    np.greater_equal(z, 0.0, out=pos)
+    np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
     # 1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below: e <= 1, so
     # the numerator max(e, z >= 0) is 1 above and e below (NaN stays NaN).
-    out = np.maximum(e, arr >= 0) / (1.0 + e)
-    if np.ndim(z) == 0:
-        return float(out[0])
-    return out
+    np.maximum(e, pos, out=z)
+    z /= np.add(e, 1.0, out=e)
 
 
 def _check_finite(X: np.ndarray) -> None:
@@ -164,12 +169,14 @@ def logistic_objective(
 # a stack gets exactly the bits it would get alone.
 
 
-def _stack_logistic_gradients(intercepts, weights, X, targets, l2):
-    """Gradients of logistic_objective in (intercepts, weights) for a stack."""
+def _stack_logistic_gradients(intercepts, weights, X, targets, l2, scratch):
+    """Gradients of logistic_objective in (intercepts, weights) for a stack;
+    the per-row arrays live in `scratch`, float64 (3, *targets.shape, 1)."""
     n = targets.shape[-1]
-    residual = sigmoid(
-        intercepts[..., None] + (X @ weights[..., None])[..., 0]
-    ) - targets
+    residual = np.matmul(X, weights[..., None], out=scratch[0])[..., 0]
+    residual += intercepts[..., None]
+    _sigmoid_inplace(residual, scratch[1, ..., 0], scratch[2, ..., 0])
+    residual -= targets
     gw = (X.swapaxes(-1, -2) @ residual[..., None])[..., 0]
     return residual.sum(axis=-1) / n, gw / n + l2 * weights
 
@@ -184,6 +191,7 @@ def logistic_gradient(
         np.asarray(weights, dtype=np.float64)[None, None],
         np.asarray(X, dtype=np.float64)[None, None],
         np.asarray(targets, dtype=np.float64)[None, None], l2,
+        np.empty((3, 1, 1, len(X), 1)),
     )
     return float(g0[0, 0]), gw[0, 0]
 
@@ -214,15 +222,17 @@ def train_logistics(
     by_size = {}
     for i, ds in enumerate(datasets):
         by_size.setdefault(ds.n, []).append(i)
-    # Per stack: training set indices, X, targets, intercepts, weights and
-    # the problems still descending.
+    # Per stack: training set indices, X, targets, gradient scratch (reused,
+    # as freeing ~100 KB arrays makes glibc trim the heap and fault it back
+    # in each iteration), intercepts, weights and the problems descending.
     stacks = []
-    for index in by_size.values():
+    for n, index in by_size.items():
         y = np.stack([datasets[i].y for i in index])
         stacks.append((
             index,
             np.stack([datasets[i].X for i in index])[:, None],
             (y[:, None, :] == np.arange(k)[:, None]).astype(np.float64),
+            np.empty((3, len(index), k, n, 1)),
             np.zeros((len(index), k)),
             np.zeros((len(index), k, width)),
             np.ones((len(index), k), dtype=bool),
@@ -231,11 +241,11 @@ def train_logistics(
     # Divergence is reported by the gradient check, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(limit):
-            for index, X, targets, intercepts, weights, active in stacks:
+            for index, X, targets, scratch, intercepts, weights, active in stacks:
                 if not active.any():
                     continue
                 g0, gw = _stack_logistic_gradients(
-                    intercepts, weights, X, targets, l2
+                    intercepts, weights, X, targets, l2, scratch
                 )
                 norm = np.maximum(
                     np.abs(g0), np.abs(gw).max(axis=-1, initial=0.0)
@@ -257,7 +267,7 @@ def train_logistics(
         )
 
     models = [None] * len(datasets)
-    for index, _, _, intercepts, weights, _ in stacks:
+    for index, _, _, _, intercepts, weights, _ in stacks:
         for slot, i in enumerate(index):
             models[i] = LogisticModel(
                 classes, intercepts[slot].copy(), weights[slot].copy()
@@ -436,11 +446,18 @@ class NaiveBayesModel:
         if X.shape[1] != self.feature_count:
             raise ValueError("feature count mismatch")
         # log P(C) + sum_i log N(x_i; mu, var), normalized in log space.
-        log_like = -0.5 * (
-            np.log(2.0 * np.pi * self.variances)[None, :, :]
-            + (X[:, None, :] - self.means[None, :, :]) ** 2
-            / self.variances[None, :, :]
-        ).sum(axis=2)
+        # Overflow is reported by the finite check below, not numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_like = -0.5 * (
+                np.log(2.0 * np.pi * self.variances)[None, :, :]
+                + (X[:, None, :] - self.means[None, :, :]) ** 2
+                / self.variances[None, :, :]
+            ).sum(axis=2)
+        bad = np.flatnonzero(~np.isfinite(log_like.max(axis=1)))
+        if bad.size:
+            raise ValueError(
+                f"naive Bayes class log-likelihoods of row {bad[0]} are not finite"
+            )
         log_post = np.log(self.priors)[None, :] + log_like
         log_post -= log_post.max(axis=1, keepdims=True)
         post = np.exp(log_post)
@@ -554,9 +571,7 @@ def init_mlp(
     (2 u - 1) / sqrt(fan_in) from the shared SplitMix64 stream; biases 0."""
     weights = []
     biases = []
-    for l in range(len(layer_sizes) - 1):
-        fan_in = layer_sizes[l]
-        fan_out = layer_sizes[l + 1]
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
         draws = rng.uniforms(fan_out * fan_in).reshape(fan_out, fan_in)
         weights.append((2.0 * draws - 1.0) / math.sqrt(fan_in))
         biases.append(np.zeros(fan_out))

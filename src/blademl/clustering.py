@@ -135,10 +135,9 @@ class ClusterAssignment:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.count < 1 or self.labels.size == 0:
             raise ValueError("assignment must cover at least one cluster")
-        present = np.unique(self.labels)
-        if present.min() < 0 or present.max() >= self.count:
+        if self.labels.min() < 0 or self.labels.max() >= self.count:
             raise ValueError("cluster indices must lie in [0, count)")
-        if present.size != self.count:
+        if np.bincount(self.labels, minlength=self.count).min() == 0:
             raise ValueError("every cluster must be nonempty")
 
 

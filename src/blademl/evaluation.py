@@ -348,13 +348,15 @@ def cross_validate(
         raise ValueError("model names must be unique")
 
     for f in range(folds.k):
-        train_idx = folds.train_indices(f)
-        present = set(int(c) for c in np.unique(ds.y[train_idx]))
-        for c, class_name in enumerate(ds.class_names):
-            if c not in present:
-                raise ProtocolError(
-                    f"fold {f} training part is missing class {class_name!r}"
-                )
+        counts = np.bincount(
+            ds.y[folds.train_indices(f)], minlength=len(ds.class_names)
+        )
+        missing = np.flatnonzero(counts == 0)
+        if missing.size:
+            raise ProtocolError(
+                f"fold {f} training part is missing class "
+                f"{ds.class_names[missing[0]]!r}"
+            )
 
     classes = list(ds.class_names)
     actual = list(ds.matrix.labels)

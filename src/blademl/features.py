@@ -47,8 +47,6 @@ def extract_features(r: Raster) -> np.ndarray:
     output.  Images smaller than 3x3 are rejected because the Sobel interior
     would be empty.
     """
-    if r.channels != 3:
-        raise ValueError("feature extraction requires a 3-channel raster")
     if r.width < 3 or r.height < 3:
         raise ValueError("image smaller than 3x3 has no gradient interior")
 

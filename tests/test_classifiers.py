@@ -463,6 +463,23 @@ def test_nb_nonfinite_statistics_raise():
             train_naive_bayes(apart)
 
 
+def test_nb_overflowing_row_raises():
+    # A finite held-out row far from every class mean: each squared
+    # deviation overflows, so without the check the row is all NaN.
+    model = train_naive_bayes(_dataset([[0], [1], [2], [3]], ["p", "p", "q", "q"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^naive Bayes class log-likelihoods "
+                           "of row 1 are not finite$"):
+            model.predict_proba([[0.5], [1e200]])
+        # Class p's variance is floored to 1.5e-9, so x = 1e150 overflows
+        # only p's log-likelihood, and the row keeps q's probability.
+        model = train_naive_bayes(
+            _dataset([[0], [0], [1], [3]], ["p", "p", "q", "q"])
+        )
+        assert model.predict_proba([[1e150]]).tolist() == [[0.0, 1.0]]
+
+
 # ---------------------------------------------------------------------------
 # MLP
 

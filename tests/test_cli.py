@@ -1,12 +1,15 @@
 """End-to-end command-line pipeline checks.
 
 Everything runs in process through cli.main(argv) so exit codes and
-stdout/stderr are observable without spawning subprocesses.
+stdout/stderr are observable without spawning subprocesses; only the
+import check, which needs a fresh interpreter, spawns one.
 """
 
 import csv
 import filecmp
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -120,6 +123,29 @@ def test_pipeline_golden_digests(pipeline):
         "clusters": pipeline / "clusters",
     })
     assert got == read_pinned(GOLDEN)
+
+
+def test_evaluate_and_cluster_skip_numpy_ma(pipeline, tmp_path):
+    # A fresh interpreter, so no other test has imported numpy.ma already.
+    feats = str(pipeline / "features.csv")
+    evaluate = ["evaluate", "--features", feats, "--out-dir", str(tmp_path / "r"),
+                "--k", "2", "--seed", "5", "--logreg-limit", "20",
+                "--mlp-epochs", "2"]
+    cluster = ["cluster", "--features", feats, "--out-dir", str(tmp_path / "c"),
+               "--cut-count", "3"]
+    script = (
+        "import sys\n"
+        "from blademl import cli\n"
+        f"assert cli.main({evaluate!r}) == 0\n"
+        f"assert cli.main({cluster!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_rerun_byte_identical(pipeline, tmp_path):

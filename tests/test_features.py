@@ -187,8 +187,6 @@ def test_extract_validation():
         extract_features(_raster(2, 3, [0] * 18))
     with pytest.raises(ValueError):
         extract_features(_raster(3, 2, [0] * 18))
-    with pytest.raises(ValueError):
-        extract_features(Raster(3, 3, [0] * 9, channels=1))
 
 
 def test_feature_columns_shape():

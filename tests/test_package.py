@@ -18,9 +18,9 @@ EXPORTS = [
     "load_ppm", "mean_log_loss", "pairwise_distances", "predict_logistic",
     "predict_naive_bayes", "predict_tree", "raster", "read_features_csv",
     "regression_errors", "rng", "shuffled_indices", "sigmoid",
-    "stratified_kfold", "synthgen", "to_grayscale", "train_logistic",
-    "train_logistics", "train_mlp", "train_mlps", "train_naive_bayes",
-    "train_tree", "write_features_csv", "write_ppm", "zscore_normalize",
+    "stratified_kfold", "synthgen", "train_logistic", "train_logistics",
+    "train_mlp", "train_mlps", "train_naive_bayes", "train_tree",
+    "write_features_csv", "write_ppm", "zscore_normalize",
 ]
 
 

@@ -1,4 +1,4 @@
-"""PPM decode/encode and grayscale conversion."""
+"""PPM decode/encode and luma."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from blademl.raster import (
     PpmZeroDimensionError,
     Raster,
     load_ppm,
-    to_grayscale,
+    luma,
     write_ppm,
 )
 
@@ -21,7 +21,8 @@ from oracles import grayscale_ref, ppm_p3_bytes, ppm_p6_bytes, splitmix64_stream
 
 def test_p3_single_pixel():
     r = load_ppm(b"P3\n1 1\n255\n10 20 30\n")
-    assert (r.width, r.height, r.channels) == (1, 1, 3)
+    assert (r.width, r.height) == (1, 1)
+    assert r.grid().shape == (1, 1, 3)
     assert list(r.samples) == [10, 20, 30]
 
 
@@ -93,6 +94,83 @@ def test_p3_non_numeric_sample():
         load_ppm(b"P3\n1 1\n255\n1 x 3\n")
 
 
+def test_p3_comment_between_samples():
+    r = load_ppm(b"P3\n1 1\n255\n10 # red\n20\n# a whole line\n30\n")
+    assert list(r.samples) == [10, 20, 30]
+
+
+def test_p3_hash_right_after_token_starts_comment():
+    r = load_ppm(b"P3\n1 1\n255\n1#c\n2 3")
+    assert list(r.samples) == [1, 2, 3]
+
+
+def test_hash_runs_inside_comments():
+    # A comment runs to the end of its line whatever it holds, and a stream
+    # that ends inside a long run of '#' fails at once, not after trying
+    # every way to split the run into comments.
+    assert list(load_ppm(b"P3\n1 1\n255\n1 ##2\n2 3").samples) == [1, 2, 3]
+    data = b"P3" + b"#" * 64
+    with pytest.raises(PpmTruncatedError) as err:
+        load_ppm(data)
+    assert str(err.value) == f"stream ended before width (byte offset {len(data)})"
+
+
+def test_p3_tokens_after_last_sample_are_ignored():
+    r = load_ppm(b"P3\n1 1\n255\n1 2 3 4 x 999 -1 #\n")
+    assert list(r.samples) == [1, 2, 3]
+
+
+def test_p3_bad_sample_before_stream_end():
+    data = b"P3\n2 1\n255\n1 2 x 4\n"
+    with pytest.raises(PpmSampleError) as err:
+        load_ppm(data)
+    assert str(err.value) == f"invalid sample token b'x' (byte offset {data.index(b'x')})"
+
+
+def test_leading_zeros_accepted():
+    r = load_ppm(b"P3\n1 1\n0255\n0255 007 0\n")
+    assert list(r.samples) == [255, 7, 0]
+
+
+def test_p3_twenty_digit_sample():
+    big = b"9" * 20
+    data = b"P3\n1 1\n255\n1 2 " + big + b" 4\n"
+    with pytest.raises(PpmSampleError) as err:
+        load_ppm(data)
+    assert err.value.offset == data.index(big)
+    assert f"sample value {int(big)} exceeds maxval" in str(err.value)
+
+
+def test_stream_ends_before_maxval():
+    data = b"P3\n1 1 # no maxval\n"
+    with pytest.raises(PpmTruncatedError) as err:
+        load_ppm(data)
+    assert err.value.offset == len(data)
+    assert str(err.value).startswith("stream ended before maxval")
+
+
+def test_truncated_p3_names_missing_sample():
+    data = b"P3\n2 1\n255\n1 2 3 4\n# end\n"
+    with pytest.raises(PpmTruncatedError) as err:
+        load_ppm(data)
+    assert str(err.value) == f"stream ended before sample 4 (byte offset {len(data)})"
+
+
+def test_oversized_declared_image_is_truncated():
+    # The sample count is checked against the stream, never allocated.
+    data = b"P3\n99999999999 99999999999\n255\n1 2 3\n"
+    with pytest.raises(PpmTruncatedError) as err:
+        load_ppm(data)
+    assert err.value.offset == len(data)
+
+
+def test_p6_comment_right_after_maxval():
+    data = b"P6\n1 1\n255#c\n" + bytes(3)
+    with pytest.raises(PpmHeaderError) as err:
+        load_ppm(data)
+    assert err.value.offset == data.index(b"#")
+
+
 def test_errors_are_value_errors():
     for cls in (
         PpmHeaderError, PpmMaxvalError, PpmZeroDimensionError,
@@ -119,40 +197,23 @@ def test_write_ppm_is_canonical():
     assert write_ppm(r, binary=False) == write_ppm(r, binary=False)
 
 
-def test_write_ppm_rejects_grayscale():
-    gray = to_grayscale(_random_raster(5))
-    with pytest.raises(ValueError):
-        write_ppm(gray)
-
-
 def test_grayscale_frozen_values():
-    r = Raster(3, 1, [255, 255, 255, 0, 0, 0, 100, 150, 50])
-    gray = to_grayscale(r)
-    assert gray.channels == 1
-    assert list(gray.samples) == [255, 0, 124]
+    rgb = np.array([[255, 255, 255], [0, 0, 0], [100, 150, 50]], np.uint8)
+    assert list(luma(rgb)) == [255, 0, 124]
 
 
 def test_grayscale_matches_fraction_oracle():
     raw = splitmix64_stream(21, 600)
     triples = [(raw[i] % 256, raw[i + 1] % 256, raw[i + 2] % 256)
                for i in range(0, 600, 3)]
-    flat = [v for t in triples for v in t]
-    gray = to_grayscale(Raster(len(triples), 1, flat))
     expected = [grayscale_ref(*t) for t in triples]
-    assert list(gray.samples) == expected
+    assert list(luma(np.array(triples, np.uint8))) == expected
 
 
 def test_grayscale_identity_on_equal_channels():
     values = list(range(0, 256, 5))
-    flat = [v for g in values for v in (g, g, g)]
-    gray = to_grayscale(Raster(len(values), 1, flat))
-    assert list(gray.samples) == values
-
-
-def test_grayscale_rejects_single_channel():
-    gray = Raster(2, 2, [0, 1, 2, 3], channels=1)
-    with pytest.raises(ValueError):
-        to_grayscale(gray)
+    rgb = np.repeat(np.array(values, np.uint8)[:, None], 3, axis=1)
+    assert list(luma(rgb)) == values
 
 
 def test_raster_validation():
@@ -160,8 +221,6 @@ def test_raster_validation():
         Raster(2, 2, [0] * 11)
     with pytest.raises(ValueError):
         Raster(0, 2, [])
-    with pytest.raises(ValueError):
-        Raster(1, 1, [0, 0, 0], channels=2)
     with pytest.raises(ValueError):
         Raster(1, 1, [0, 300, 0])
     with pytest.raises(ValueError):
