@@ -28,7 +28,7 @@ from .evaluation import (
 )
 from .features import FeatureMatrix, extract_features, read_features_csv, \
     write_features_csv, FEATURE_COLUMNS
-from .fmt import metadata_lines, read_csv
+from .fmt import iter_csv, metadata_lines
 from .raster import load_ppm
 from .synthgen import CLASS_NAMES, GenConfig, generate_dataset
 
@@ -162,16 +162,16 @@ def cmd_gen(args) -> int:
 
 
 def _read_labels(path) -> list[tuple[str, str]]:
-    rows = read_csv(path)
-    if not rows or rows[0][:2] != ["id", "label"]:
+    rows = iter_csv(path)
+    if next(rows, [])[:2] != ["id", "label"]:
         raise ValueError(f"{path}: expected id,label header")
     entries = []
     seen: dict[str, int] = {}
-    for i, row in enumerate(rows[1:]):
+    for i, row in enumerate(rows, 1):
         if len(row) != 2 or not row[0] or not row[1]:
-            raise ValueError(f"{path}: malformed row {i + 1}")
-        if seen.setdefault(row[0], i + 1) != i + 1:
-            raise ValueError(f"{path}: {row[0]!r} on rows {seen[row[0]]} and {i + 1}")
+            raise ValueError(f"{path}: malformed row {i}")
+        if seen.setdefault(row[0], i) != i:
+            raise ValueError(f"{path}: {row[0]!r} on rows {seen[row[0]]} and {i}")
         entries.append((row[0], row[1]))
     if not entries:
         raise ValueError(f"{path}: no labeled rows")
@@ -328,7 +328,8 @@ def cmd_cluster(args) -> int:
     )
     text = export_dendrogram(dendrogram, "text")
     with open(os.path.join(args.out_dir, "dendrogram.txt"), "w") as handle:
-        handle.write(metadata_lines(meta) + text)
+        handle.write(metadata_lines(meta))
+        handle.write(text)
     with open(os.path.join(args.out_dir, "dendrogram.nwk"), "w") as handle:
         handle.write(export_dendrogram(dendrogram, "newick") + "\n")
 

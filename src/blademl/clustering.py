@@ -7,10 +7,13 @@ share one merge loop.  Ward operates on squared euclidean distances and
 reports each merge height as the square root of the merge cost, keeping all
 four linkages height-monotone.
 
-The loop works on one n x n matrix in which slot s always holds the active
-cluster whose smallest leaf is s; retired slots and the diagonal are +inf.
-The first minimum in row-major order is then the documented tie-break, so
-each merge is one numpy argmin plus one vector Lance-Williams update.
+Nothing here builds an n x n array except `DistanceMatrix.full`, which is
+kept for library callers.  Distances live in the condensed upper triangle:
+entry (i, j), i < j, sits at start[i] + j - i - 1, row i's segment
+start[i]:start[i + 1] holds columns i + 1 .. n - 1, and column j's entries
+above the diagonal are gathered at above[:j] + j (see `_layout`).  Square
+rows for the Lance-Williams update and for `distances.csv` are assembled
+one at a time from those two parts.
 """
 
 from __future__ import annotations
@@ -56,13 +59,38 @@ class DistanceMatrix:
         return float(self.condensed[self.index(i, j)])
 
     def full(self) -> np.ndarray:
+        """The symmetric n x n matrix with a zero diagonal."""
         out = np.zeros((self.n, self.n))
-        rows, cols = np.triu_indices(self.n, k=1)
-        out[rows, cols] = self.condensed
-        out[cols, rows] = self.condensed
+        start, _ = _layout(self.n)
+        for i in range(self.n - 1):
+            segment = self.condensed[start[i]:start[i + 1]]
+            out[i, i + 1:] = segment
+            out[i + 1:, i] = segment
         return out
 
 
+def _layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets into a condensed vector over n rows.
+
+    Row i's segment (columns i + 1 .. n - 1) is start[i]:start[i + 1], and
+    entry (i, j), i < j, sits at above[i] + j = start[i] + j - i - 1.
+    """
+    rows = np.arange(n + 1)
+    start = n * rows - rows * (rows + 1) // 2
+    return start, start[:-1] - rows[:-1] - 1
+
+
+def _square_row(condensed, start, above, i: int, diagonal: float) -> np.ndarray:
+    """Row i of the symmetric matrix stored in condensed, with diagonal at i."""
+    out = np.empty(above.size)
+    out[:i] = condensed[above[:i] + i]
+    out[i] = diagonal
+    out[i + 1:] = condensed[start[i]:start[i + 1]]
+    return out
+
+
+# Huge features overflow to inf, which the finite checks reject.
+@np.errstate(over="ignore")
 def pairwise_distances(
     m: FeatureMatrix, metric: str = "euclidean", normalize: bool = True
 ) -> DistanceMatrix:
@@ -95,7 +123,10 @@ def pairwise_distances(
             out = 1.0 - similarity
             out[(norms[i] == 0.0) | (norms[i + 1:] == 0.0)] = 1.0
             return np.maximum(out, 0.0)
-    condensed = np.concatenate([row(i) for i in range(m.n - 1)])
+    start, _ = _layout(m.n)
+    condensed = np.empty(start[-1])
+    for i in range(m.n - 1):
+        condensed[start[i]:start[i + 1]] = row(i)
     return DistanceMatrix(m.n, condensed, metric, normalize)
 
 
@@ -141,6 +172,8 @@ class ClusterAssignment:
             raise ValueError("every cluster must be nonempty")
 
 
+# Overflow leaves +inf: a pair that is never the closest, or a ValueError.
+@np.errstate(over="ignore")
 def agglomerate(
     d: DistanceMatrix, linkage: str = "average",
     leaf_names: list[str] | None = None,
@@ -152,14 +185,26 @@ def agglomerate(
     min leaf of the right cluster), where the left cluster is the one
     holding the smaller minimum leaf id.
 
-    Slot s of the n x n working matrix holds the active cluster whose
-    smallest leaf is s: a merge keeps the left (smaller) slot and sets the
-    right slot's row and column to +inf, as is the diagonal.  Because the
-    matrix is symmetric, the first minimum in row-major order lies above
-    the diagonal at the smallest (row, column), which is exactly the
-    (distance, left min leaf, right min leaf) order above.  Each update is
-    written in the operation order of the scalar recurrence, so every
-    element gets the same IEEE operations.
+    The loop works on one condensed copy of the distances (squared for
+    Ward) in which slot s holds the active cluster whose smallest leaf is
+    s: a merge keeps the left (smaller) slot and sets every entry of the
+    right slot to +inf.  Each row i caches least[i] and nearest[i], the
+    minimum of its segment (columns i + 1 ..) and the first column holding
+    it.  The first row with the smallest cached minimum, and then its
+    cached column, is the first minimum in row-major order of the
+    symmetric matrix: it lies above the diagonal at the smallest (row,
+    column), which is exactly the (distance, left min leaf, right min leaf)
+    order above.
+
+    After a merge of slots left < right only rows up to right can change:
+    row left is rescanned, as is every row whose cached column was right
+    (now +inf) or was left with a distance that grew.  Any other row
+    i < left compares its new distance to left with least[i]; on a tie the
+    smaller column wins.  Each update is written in the operation order of
+    the scalar recurrence, so every element gets the same IEEE operations.
+
+    Raises ValueError when the closest remaining distance is not finite,
+    as when Ward's squared distances overflow.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}")
@@ -169,21 +214,41 @@ def agglomerate(
     if len(leaf_names) != n:
         raise ValueError("leaf names must cover every leaf")
 
-    work = d.full()
+    start, above = _layout(n)
+    work = d.condensed.copy()
     if linkage == "ward":
-        work = work ** 2
-    np.fill_diagonal(work, np.inf)
+        np.square(work, out=work)
+    least = np.full(n, np.inf)
+    # -1 names no slot, so no merge rescans row n - 1 (it has no segment)
+    # or a retired row (all +inf).
+    nearest = np.full(n, -1)
+
+    def rescan(i):
+        segment = work[start[i]:start[i + 1]]
+        j = int(segment.argmin())
+        least[i] = segment[j]
+        nearest[i] = i + 1 + j
+
+    for i in range(n - 1):
+        rescan(i)
     size = np.ones(n)
     ids = list(range(n))
     merges: list[Merge] = []
 
     for step in range(n - 1):
-        left, right = divmod(int(np.argmin(work)), n)
-        dist = work[left, right]
+        left = int(least.argmin())
+        right = int(nearest[left])
+        dp = _square_row(work, start, above, left, np.inf)
+        dq = _square_row(work, start, above, right, np.inf)
+        dist = dp[right]
+        if not np.isfinite(dist):
+            raise ValueError(
+                f"{linkage} linkage: no finite distance left at merge "
+                f"{step + 1} of {n - 1}"
+            )
         height = float(np.sqrt(dist)) if linkage == "ward" else float(dist)
         merges.append(Merge(ids[left], ids[right], height, n + step))
 
-        dp, dq = work[left], work[right]
         p, q = size[left], size[right]
         if linkage == "single":
             # np.where, not np.minimum: keep Python min's pick between
@@ -198,10 +263,25 @@ def agglomerate(
                 (p + size) * dp + (q + size) * dq - size * dist
             ) / (p + q + size)
         up[left] = up[right] = np.inf
-        work[left] = work[:, left] = up
-        work[right] = work[:, right] = np.inf
+        work[above[:left] + left] = up[:left]
+        work[start[left]:start[left + 1]] = up[left + 1:]
+        work[above[:right] + right] = np.inf
+        work[start[right]:start[right + 1]] = np.inf
         size[left] = p + q
         ids[left] = n + step
+
+        # Rows i < left get a new distance to left and lose right; rows
+        # between left and right lose right only; later rows are unchanged.
+        new, cached, column = up[:left], least[:left], nearest[:left]
+        closer = (new < cached) | ((new == cached) & (column >= left))
+        rows = np.flatnonzero(((column == left) & ~closer) | (column == right))
+        cached[closer] = new[closer]
+        column[closer] = left
+        between = left + 1 + np.flatnonzero(nearest[left + 1:right] == right)
+        for i in [*rows.tolist(), left, *between.tolist()]:
+            rescan(i)
+        least[right] = np.inf
+        nearest[right] = -1
 
     return Dendrogram(n, merges, linkage, list(leaf_names))
 
@@ -292,10 +372,12 @@ def export_dendrogram(dg: Dendrogram, fmt: str = "text") -> str:
 def write_distance_csv(
     d: DistanceMatrix, ids: list[str], path, metadata=None
 ) -> None:
-    """Full square matrix with id header row and column."""
+    """Full square matrix with id header row and column, one row at a time."""
     if len(ids) != d.n:
         raise ValueError("ids must cover every row")
-    write_float_rows(path, ["id", *ids], ([i] for i in ids), d.full(), metadata)
+    start, above = _layout(d.n)
+    rows = (_square_row(d.condensed, start, above, i, 0.0) for i in range(d.n))
+    write_float_rows(path, ["id", *ids], ([i] for i in ids), rows, metadata)
 
 
 def write_assignment_csv(

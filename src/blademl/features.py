@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fmt import read_csv, write_float_rows
+from .fmt import iter_csv, write_float_rows
 from .raster import Raster, luma
 
 FEATURE_COUNT = 37
@@ -184,28 +184,29 @@ def read_features_csv(path) -> FeatureMatrix:
     Rows whose cell count differs from the header, and non-numeric or
     non-finite cells, are rejected, naming the offending data row.
     """
-    rows = read_csv(path)
-    if not rows:
+    rows = iter_csv(path)
+    header = next(rows, None)
+    if header is None:
         raise ValueError(f"{path}: empty feature file")
-    header = rows[0]
     if len(header) < 3 or header[0] != "id" or header[1] != "label":
         raise ValueError(f"{path}: header must start with id,label")
     columns = header[2:]
     ids: list[str] = []
     labels: list[str] = []
-    values = np.empty((len(rows) - 1, len(columns)))
-    for i, row in enumerate(rows[1:]):
+    vectors: list[np.ndarray] = []
+    for i, row in enumerate(rows, 1):
         if len(row) != len(header):
             raise ValueError(
-                f"{path}: wrong column count on data row {i + 1} "
+                f"{path}: wrong column count on data row {i} "
                 f"({len(row)} cells, expected {len(header)})"
             )
         ids.append(row[0])
         labels.append(row[1])
         try:
-            values[i] = [float(cell) for cell in row[2:]]
+            vectors.append(np.array([float(cell) for cell in row[2:]]))
         except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric value on data row {i + 1}") from exc
+            raise ValueError(f"{path}: non-numeric value on data row {i}") from exc
+    values = np.array(vectors).reshape(len(ids), len(columns))
     nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if nonfinite.size:
         raise ValueError(f"{path}: non-finite value on data row {nonfinite[0] + 1}")

@@ -41,30 +41,44 @@ def write_csv(path, header, rows, metadata: dict | None = None) -> None:
         handle.writelines(map(_csv_row, rows))
 
 
-def write_float_rows(path, header, keys, values, metadata: dict | None = None) -> None:
+def write_float_rows(path, header, keys, rows, metadata: dict | None = None) -> None:
     """write_csv for rows of key cells then reals: row i is keys[i] then
-    values[i], formatted by one `%` template into fmt17's strings."""
-    if values.shape[1] == 0:
+    rows[i], formatted by one `%` template into fmt17's strings.
+
+    rows may be a 2-D array or any iterable of equal-length 1-D arrays; the
+    first row is drawn before the file is opened, so a row without values
+    raises without leaving a file.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None and len(first) == 0:
         raise ValueError("float rows need at least one value column")
-    template = ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w", newline="") as handle:
         handle.write(metadata_lines(metadata))
         handle.write(_csv_row(header))
-        for key, row in zip(keys, values):
+        if first is None:
+            return
+        template = ",".join(["%.17g"] * len(first)) + "\n"
+        for key, row in zip(keys, itertools.chain([first], rows)):
             # The empty last cell puts the comma before the values and keeps a
             # lone empty key from being written as `""`; [:-1] drops the "\n".
             handle.write(_csv_row([*key, ""])[:-1] + template % tuple(row.tolist()))
 
 
-def read_csv(path) -> list[list[str]]:
-    """Rows of a CSV artefact, header first.
+def iter_csv(path):
+    """Yield the rows of a CSV artefact, header first, as they are read.
 
     `#` lines are metadata only before the header; a later row that starts
     with `#` is data.
     """
     with open(path, "r", newline="") as handle:
         lines = itertools.dropwhile(lambda line: line.startswith("#"), handle)
-        return list(csv.reader(lines))
+        yield from csv.reader(lines)
+
+
+def read_csv(path) -> list[list[str]]:
+    """Every row of iter_csv(path) in one list."""
+    return list(iter_csv(path))
 
 
 def render_json(obj, indent: int = 0) -> str:

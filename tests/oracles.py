@@ -716,6 +716,52 @@ def lance_williams_scan(dist, linkage):
     return merges
 
 
+def agglomerate_full_matrix(dist, linkage):
+    """The package's former full-matrix agglomeration: an exact-equality
+    reference for the condensed loop at sizes the scalar scan cannot reach.
+
+    dist: full symmetric numpy matrix.  Slot s of the n x n working matrix
+    holds the active cluster whose smallest leaf is s; a merge keeps the
+    left slot and sets the right slot's row and column to +inf, as is the
+    diagonal, so each merge is the first row-major np.argmin plus one
+    vector Lance-Williams update.  Returns merge records (left_id,
+    right_id, height, new_id) like linkage_oracle.
+    """
+    n = len(dist)
+    work = np.array(dist, dtype=np.float64)
+    if linkage == "ward":
+        work = work ** 2
+    np.fill_diagonal(work, np.inf)
+    size = np.ones(n)
+    ids = list(range(n))
+    merges = []
+
+    for step in range(n - 1):
+        left, right = divmod(int(np.argmin(work)), n)
+        dist_lr = work[left, right]
+        height = float(np.sqrt(dist_lr)) if linkage == "ward" else float(dist_lr)
+        merges.append((ids[left], ids[right], height, n + step))
+
+        dp, dq = work[left], work[right]
+        p, q = size[left], size[right]
+        if linkage == "single":
+            up = np.where(dq < dp, dq, dp)
+        elif linkage == "complete":
+            up = np.where(dq > dp, dq, dp)
+        elif linkage == "average":
+            up = (p * dp + q * dq) / (p + q)
+        else:
+            up = (
+                (p + size) * dp + (q + size) * dq - size * dist_lr
+            ) / (p + q + size)
+        up[left] = up[right] = np.inf
+        work[left] = work[:, left] = up
+        work[right] = work[:, right] = np.inf
+        size[left] = p + q
+        ids[left] = n + step
+    return merges
+
+
 def prim_mst_weights(dist):
     """Sorted edge weights of a minimum spanning tree."""
     n = len(dist)

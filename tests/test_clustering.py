@@ -1,6 +1,7 @@
 """Distance matrices, agglomeration vs naive oracle, cuts, exports."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from blademl.clustering import (
 from blademl.features import FeatureMatrix
 
 from oracles import (
+    agglomerate_full_matrix,
     float_rows_csv_ref,
     lance_williams_scan,
     linkage_oracle,
@@ -123,6 +125,66 @@ def test_distance_validation():
         DistanceMatrix(2, np.array([-1.0]), "euclidean", False)
 
 
+def test_distance_full_matrix_keeps_signed_zeros():
+    d = _signed_zero_distance_matrix(5, 40)
+    rows, cols = np.triu_indices(d.n, k=1)
+    ref = np.zeros((d.n, d.n))
+    ref[rows, cols] = ref[cols, rows] = d.condensed
+    full = d.full()
+    assert np.array_equal(full, ref)
+    assert np.array_equal(np.signbit(full), np.signbit(ref))
+    assert np.signbit(d.condensed).any()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_distance_overflow_raises_without_warning(metric):
+    m = _matrix([[0.0, 1e200], [1e200, -1e200], [2.0, 3.0]])
+    with pytest.raises(ValueError, match="distances must be finite"):
+        pairwise_distances(m, metric, normalize=False)
+    with pytest.raises(ValueError, match="finite"):
+        pairwise_distances(m, metric, normalize=True)
+
+
+def _traced_peak(call):
+    """(result, tracemalloc peak in bytes above the memory traced at entry)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# n = 1,000 rows: the condensed vector is 499,500 doubles (4.0 MB), and an
+# n x n matrix would be 8.0 MB on its own.
+def test_pairwise_distances_peak_memory():
+    m = _normal_rows(1000, 1000)
+    d, peak = _traced_peak(lambda: pairwise_distances(m))
+    assert peak <= 1.25 * d.condensed.nbytes
+
+
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_agglomerate_peak_memory(linkage):
+    d = pairwise_distances(_normal_rows(1000, 1000))
+    _, peak = _traced_peak(lambda: agglomerate(d, linkage))
+    assert peak <= 1.25 * d.condensed.nbytes
+
+
+def test_write_distance_csv_peak_memory(tmp_path):
+    d = pairwise_distances(_normal_rows(1000, 1000))
+    ids = [f"r{i}" for i in range(d.n)]
+    path = tmp_path / "distances.csv"
+    _, peak = _traced_peak(lambda: write_distance_csv(d, ids, path))
+    assert peak <= 0.1 * d.condensed.nbytes
+    with open(path) as handle:
+        handle.readline()
+        first = handle.readline()
+    assert first == "r0,0," + ",".join(
+        format(d.get(0, j), ".17g") for j in range(1, d.n)) + "\n"
+
+
 def test_distance_full_matrix():
     d = _random_distance_matrix(3, 5)
     full = d.full()
@@ -211,6 +273,40 @@ def test_agglomerate_equals_scalar_scan_150_rows(linkage):
     d = pairwise_distances(_normal_rows(150, 150))
     ref = lance_williams_scan(d.full(), linkage)
     assert _merge_bits(agglomerate(d, linkage).merges) == _scan_bits(ref)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_agglomerate_equals_full_matrix(linkage, family):
+    # The cached row minima pick the same cell as the full-matrix argmin,
+    # through runs of ties and equal-comparing signed zeros.
+    for n in [*range(2, 40), 61, 100, 150, 200]:
+        d = FAMILIES[family](n + 500, n)
+        ref = agglomerate_full_matrix(d.full(), linkage)
+        assert _merge_bits(agglomerate(d, linkage).merges) == _scan_bits(ref), n
+
+
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_agglomerate_equals_full_matrix_1000_rows(linkage):
+    d = pairwise_distances(_normal_rows(1000, 1000))
+    ref = agglomerate_full_matrix(d.full(), linkage)
+    assert _merge_bits(agglomerate(d, linkage).merges) == _scan_bits(ref)
+
+
+@pytest.mark.filterwarnings("error")
+def test_agglomerate_rejects_overflowing_ward():
+    # Every squared distance overflows to +inf: there is no closest pair.
+    d = DistanceMatrix(4, np.array([1e200, 2e200, 3e200, 1e200, 2e200, 1e200]),
+                       "euclidean", False)
+    with pytest.raises(ValueError, match="ward linkage.* merge 1 of 3"):
+        agglomerate(d, "ward")
+    # Only the far pairs overflow: the close pairs merge first, and the
+    # first merge that would need an infinite distance raises.
+    d = DistanceMatrix(3, np.array([1.0, 1e200, 1e200]), "euclidean", False)
+    with pytest.raises(ValueError, match="ward linkage.* merge 2 of 2"):
+        agglomerate(d, "ward")
+    for linkage in ("single", "complete", "average"):
+        assert agglomerate(d, linkage).merges[1].height == 1e200
 
 
 @pytest.mark.parametrize("linkage", LINKAGES)
