@@ -56,14 +56,15 @@ class TrainConfig:
     min_leaf: int | None = None
 
     def __post_init__(self):
-        if self.learning_rate is not None and not self.learning_rate > 0:
-            raise ValueError("learning rate must be positive")
+        rate = self.learning_rate
+        if rate is not None and not 0 < rate < math.inf:
+            raise ValueError("learning rate must be positive and finite")
         if self.limit is not None and self.limit < 1:
             raise ValueError("iteration/epoch limit must be at least 1")
-        if self.tolerance is not None and self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-        if self.l2 is not None and self.l2 < 0:
-            raise ValueError("L2 strength must be nonnegative")
+        if self.tolerance is not None and not 0 <= self.tolerance < math.inf:
+            raise ValueError("tolerance must be nonnegative and finite")
+        if self.l2 is not None and not 0 <= self.l2 < math.inf:
+            raise ValueError("L2 strength must be nonnegative and finite")
         if self.hidden is not None:
             self.hidden = tuple(int(h) for h in self.hidden)
             if not self.hidden or any(h < 1 for h in self.hidden):

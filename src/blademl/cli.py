@@ -4,17 +4,24 @@ Every subcommand is a pure function of its input files and flags, so
 rerunning a command writes byte-identical outputs.  All results are CSV or
 text files whose leading `# key: value` lines record the configuration that
 produced them.
+
+Exit codes: 0 on success; 2 when a flag is wrong, including `--k` or
+`--cut-count` out of range for the input; 1 for a bad input file, training
+divergence or an I/O error.  A failed stage removes the `--out`/`--out-dir`
+path it created, and never deletes one that existed before it started.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+from functools import partial
 
 from . import __version__
 from .classifiers import (
-    LOGISTIC_DEFAULTS, MLP_DEFAULTS, TREE_DEFAULTS, TrainConfig,
+    ACTIVATIONS, LOGISTIC_DEFAULTS, MLP_DEFAULTS, TREE_DEFAULTS, TrainConfig,
 )
 from .clustering import (
     LINKAGES, METRICS, agglomerate, cut_dendrogram, export_dendrogram,
@@ -22,7 +29,7 @@ from .clustering import (
 )
 from .dataset import load_labeled_csv, stratified_kfold, write_folds_csv
 from .evaluation import (
-    COMPARISON_METRICS, MODEL_KINDS, ModelSpec, compare_models, cross_validate,
+    COMPARISON_METRICS, ModelSpec, compare_models, cross_validate,
     write_comparison_csv, write_confusion_csv, write_fold_scores_csv,
     write_predictions_csv, write_report_csv,
 )
@@ -31,6 +38,10 @@ from .features import FeatureMatrix, extract_features, read_features_csv, \
 from .fmt import iter_csv, metadata_lines
 from .raster import load_ppm
 from .synthgen import CLASS_NAMES, GenConfig, generate_dataset
+
+
+class UsageError(ValueError):
+    """A flag value is wrong; `main` exits with code 2."""
 
 
 def _parse_counts(text: str) -> tuple[int, int, int]:
@@ -50,12 +61,33 @@ def _parse_counts(text: str) -> tuple[int, int, int]:
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"--mlp-hidden: {exc}") from exc
-    if not sizes or any(s < 1 for s in sizes):
-        raise argparse.ArgumentTypeError("--mlp-hidden sizes must be >= 1")
-    return sizes
+
+
+# evaluate's hyperparameters.  Per model: its classifiers defaults and, per
+# `--<model>-<key>` flag, (TrainConfig field, type, help).  The `# <model>:`
+# metadata line lists `<key>=<value>` in this order.
+MODEL_FLAGS = {
+    "logreg": (LOGISTIC_DEFAULTS, {
+        "rate": ("learning_rate", float, "logistic learning rate"),
+        "limit": ("limit", int, "logistic iteration limit"),
+        "tolerance": ("tolerance", float, "logistic gradient stop tolerance"),
+        "l2": ("l2", float, "logistic L2 strength"),
+    }),
+    "tree": (TREE_DEFAULTS, {
+        "max_depth": ("max_depth", int, "tree depth cap"),
+        "min_leaf": ("min_leaf", int, "minimum samples per leaf"),
+    }),
+    "mlp": (MLP_DEFAULTS, {
+        "rate": ("learning_rate", float, "MLP learning rate"),
+        "epochs": ("limit", int, "MLP epoch count"),
+        "l2": ("l2", float, "MLP L2 strength"),
+        "hidden": ("hidden", _parse_hidden, "comma list of hidden layer sizes"),
+        "activation": ("activation", str, "hidden activation"),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,10 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser(
-        "gen", help="generate a seeded synthetic blade-image corpus",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    def stage(name, run, text):
+        stage_parser = sub.add_parser(
+            name, help=text,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        )
+        stage_parser.set_defaults(run=run)
+        return stage_parser
+
+    gen = stage("gen", cmd_gen,
+                "generate a seeded synthetic blade-image corpus")
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument(
         "--counts", type=_parse_counts, default=(34, 33, 33),
@@ -79,18 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--width", type=int, default=128, help="image width")
     gen.add_argument("--height", type=int, default=128, help="image height")
 
-    feats = sub.add_parser(
-        "features", help="extract feature vectors from a labeled image set",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    feats = stage("features", cmd_features,
+                  "extract feature vectors from a labeled image set")
     feats.add_argument("--images", required=True, help="image directory")
     feats.add_argument("--labels", required=True, help="id,label CSV")
     feats.add_argument("--out", required=True, help="output features CSV")
 
-    ev = sub.add_parser(
-        "evaluate", help="cross-validate classifiers over a features CSV",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    ev = stage("evaluate", cmd_evaluate,
+               "cross-validate classifiers over a features CSV")
     ev.add_argument("--features", required=True, help="labeled features CSV")
     ev.add_argument("--out-dir", required=True, help="report directory")
     ev.add_argument("--k", type=int, default=10, help="fold count")
@@ -98,41 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seed for fold shuffling and network init")
     ev.add_argument("--models", default="tree,nb,logreg,mlp",
                     help="comma list from tree,nb,logreg,mlp")
-    ev.add_argument("--logreg-rate", type=float,
-                    default=LOGISTIC_DEFAULTS["learning_rate"],
-                    help="logistic learning rate")
-    ev.add_argument("--logreg-limit", type=int,
-                    default=LOGISTIC_DEFAULTS["limit"],
-                    help="logistic iteration limit")
-    ev.add_argument("--logreg-tolerance", type=float,
-                    default=LOGISTIC_DEFAULTS["tolerance"],
-                    help="logistic gradient stop tolerance")
-    ev.add_argument("--logreg-l2", type=float,
-                    default=LOGISTIC_DEFAULTS["l2"],
-                    help="logistic L2 strength")
-    ev.add_argument("--tree-max-depth", type=int,
-                    default=TREE_DEFAULTS["max_depth"], help="tree depth cap")
-    ev.add_argument("--tree-min-leaf", type=int,
-                    default=TREE_DEFAULTS["min_leaf"],
-                    help="minimum samples per leaf")
-    ev.add_argument("--mlp-rate", type=float,
-                    default=MLP_DEFAULTS["learning_rate"],
-                    help="MLP learning rate")
-    ev.add_argument("--mlp-epochs", type=int, default=MLP_DEFAULTS["limit"],
-                    help="MLP epoch count")
-    ev.add_argument("--mlp-l2", type=float, default=MLP_DEFAULTS["l2"],
-                    help="MLP L2 strength")
-    ev.add_argument("--mlp-hidden", type=_parse_hidden,
-                    default=MLP_DEFAULTS["hidden"],
-                    help="comma list of hidden layer sizes")
-    ev.add_argument("--mlp-activation", choices=("relu", "sigmoid", "tanh"),
-                    default=MLP_DEFAULTS["activation"],
-                    help="hidden activation")
+    for model, (defaults, flags) in MODEL_FLAGS.items():
+        for key, (field, kind, text) in flags.items():
+            ev.add_argument(
+                f"--{model}-{key.replace('_', '-')}", type=kind,
+                default=defaults[field], help=text,
+                choices=ACTIVATIONS if field == "activation" else None,
+            )
 
-    cl = sub.add_parser(
-        "cluster", help="hierarchical clustering over a features CSV",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    cl = stage("cluster", cmd_cluster,
+               "hierarchical clustering over a features CSV")
     cl.add_argument("--features", required=True, help="features CSV")
     cl.add_argument("--out-dir", required=True, help="output directory")
     cl.add_argument("--metric", choices=METRICS, default="euclidean",
@@ -148,17 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     try:
         cfg = GenConfig(args.counts, args.seed, args.width, args.height)
     except ValueError as exc:
-        print(f"error: --counts/--width/--height: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--counts/--width/--height: {exc}") from exc
     entries = generate_dataset(cfg, args.out)
     for name, count in zip(CLASS_NAMES, cfg.counts):
         print(f"{name}: {count} images")
     print(f"wrote {len(entries)} files + labels.csv to {args.out}")
-    return 0
 
 
 def _read_labels(path) -> list[tuple[str, str]]:
@@ -178,102 +185,82 @@ def _read_labels(path) -> list[tuple[str, str]]:
     return entries
 
 
-def cmd_features(args) -> int:
+def cmd_features(args) -> None:
     entries = _read_labels(args.labels)
-    ids = []
-    labels = []
     vectors = []
-    for name, label in entries:
+    for name, _ in entries:
         path = os.path.join(args.images, name)
         try:
             with open(path, "rb") as handle:
                 raster = load_ppm(handle.read())
             vectors.append(extract_features(raster))
         except (OSError, ValueError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 1
-        ids.append(name)
-        labels.append(label)
+            raise ValueError(f"{path}: {exc}") from exc
+    ids, labels = map(list, zip(*entries))
     matrix = FeatureMatrix(ids, labels, list(FEATURE_COLUMNS), vectors)
     write_features_csv(
         matrix, args.out,
         metadata={"images": args.images, "labels": args.labels},
     )
     print(f"wrote {matrix.n} rows x {matrix.width} features to {args.out}")
-    return 0
 
 
 def _model_specs(args) -> list[ModelSpec]:
+    """One spec per `--models` entry; every model flag is checked, each on
+    its own so the error names it."""
+    configs = {"nb": None}
+    for model, (_, flags) in MODEL_FLAGS.items():
+        values = {}
+        for key, (field, _, _) in flags.items():
+            values[field] = getattr(args, f"{model}_{key}")
+            try:
+                TrainConfig(**{field: values[field]})
+            except ValueError as exc:
+                flag = f"--{model}-{key.replace('_', '-')}"
+                raise UsageError(f"{flag}: {exc}") from exc
+        configs[model] = TrainConfig(**values, seed=args.seed)
     names = [name.strip() for name in args.models.split(",") if name.strip()]
     if not names:
-        raise ValueError("--models must name at least one model")
-    for name in names:
-        if name not in MODEL_KINDS:
-            raise ValueError(f"--models: unknown model {name!r}")
+        raise UsageError("--models must name at least one model")
     if len(set(names)) != len(names):
-        raise ValueError("--models entries must be unique")
-    configs = {
-        "tree": TrainConfig(
-            max_depth=args.tree_max_depth, min_leaf=args.tree_min_leaf
-        ),
-        "nb": None,
-        "logreg": TrainConfig(
-            learning_rate=args.logreg_rate, limit=args.logreg_limit,
-            tolerance=args.logreg_tolerance, l2=args.logreg_l2,
-        ),
-        "mlp": TrainConfig(
-            learning_rate=args.mlp_rate, limit=args.mlp_epochs,
-            l2=args.mlp_l2, hidden=args.mlp_hidden,
-            activation=args.mlp_activation, seed=args.seed,
-        ),
-    }
-    return [ModelSpec(name, name, configs[name]) for name in names]
+        raise UsageError("--models entries must be unique")
+    try:
+        return [ModelSpec(name, name, configs.get(name)) for name in names]
+    except ValueError as exc:
+        raise UsageError(f"--models: {exc}") from exc
 
 
 def _hyper_metadata(args) -> dict:
-    return {
-        "k": args.k,
-        "seed": args.seed,
-        "models": args.models,
-        "logreg": (
-            f"rate={args.logreg_rate} limit={args.logreg_limit} "
-            f"tolerance={args.logreg_tolerance} l2={args.logreg_l2}"
-        ),
-        "tree": (
-            f"max_depth={args.tree_max_depth} min_leaf={args.tree_min_leaf}"
-        ),
-        "mlp": (
-            f"rate={args.mlp_rate} epochs={args.mlp_epochs} l2={args.mlp_l2} "
-            f"hidden={','.join(str(h) for h in args.mlp_hidden)} "
-            f"activation={args.mlp_activation} seed={args.seed}"
-        ),
-    }
+    meta = {"k": args.k, "seed": args.seed, "models": args.models}
+    for model, (_, flags) in MODEL_FLAGS.items():
+        values = [getattr(args, f"{model}_{key}") for key in flags]
+        meta[model] = " ".join(
+            f"{key}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
+            for key, v in zip(flags, values))
+    meta["mlp"] += f" seed={args.seed}"
+    return meta
 
 
-def cmd_evaluate(args) -> int:
-    ds = load_labeled_csv(args.features)
+def cmd_evaluate(args) -> None:
     specs = _model_specs(args)
-    folds = stratified_kfold(ds, args.k, args.seed)
+    ds = load_labeled_csv(args.features)
+    try:
+        folds = stratified_kfold(ds, args.k, args.seed)
+    except ValueError as exc:
+        raise UsageError(f"--k: {exc}") from exc
     report = cross_validate(ds, specs, folds)
     os.makedirs(args.out_dir, exist_ok=True)
+    out = partial(os.path.join, args.out_dir)
     meta = _hyper_metadata(args)
 
-    write_report_csv(report, os.path.join(args.out_dir, "report.csv"), meta)
-    write_folds_csv(
-        folds, report.ids, os.path.join(args.out_dir, "folds.csv"), meta
-    )
-    write_fold_scores_csv(
-        report, os.path.join(args.out_dir, "fold_scores.csv"), meta
-    )
+    write_report_csv(report, out("report.csv"), meta)
+    write_folds_csv(folds, report.ids, out("folds.csv"), meta)
+    write_fold_scores_csv(report, out("fold_scores.csv"), meta)
     for name in report.model_names:
         write_confusion_csv(
-            report.confusions[name],
-            os.path.join(args.out_dir, f"confusion_{name}.csv"), meta,
+            report.confusions[name], out(f"confusion_{name}.csv"), meta
         )
-        write_predictions_csv(
-            report, name,
-            os.path.join(args.out_dir, f"predictions_{name}.csv"), meta,
-        )
+        write_predictions_csv(report, name, out(f"predictions_{name}.csv"), meta)
     if len(report.model_names) >= 2:
         for metric in COMPARISON_METRICS:
             scores = [
@@ -282,8 +269,7 @@ def cmd_evaluate(args) -> int:
             ]
             names, matrix = compare_models(scores)
             write_comparison_csv(
-                names, matrix,
-                os.path.join(args.out_dir, f"comparison_{metric}.csv"),
+                names, matrix, out(f"comparison_{metric}.csv"),
                 {**meta, "metric": metric},
             )
 
@@ -294,43 +280,30 @@ def cmd_evaluate(args) -> int:
             f"  {name}: auc={s.auc:.4f} ca={s.ca:.4f} f1={s.f1:.4f} "
             f"mcc={s.mcc:.4f}"
         )
-    return 0
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> None:
+    if args.cut_count is not None and args.cut_height is not None:
+        raise UsageError("give only one of --cut-count/--cut-height")
+    if args.cut_height is not None and not args.cut_height >= 0.0:
+        raise UsageError("--cut-height must be nonnegative")
     matrix = read_features_csv(args.features)
     if matrix.n < 2:
-        print("error: --features: clustering needs at least 2 rows",
-              file=sys.stderr)
-        return 2
-    if args.cut_count is not None and args.cut_height is not None:
-        print("error: give only one of --cut-count/--cut-height",
-              file=sys.stderr)
-        return 2
+        raise UsageError("--features: clustering needs at least 2 rows")
     if args.cut_count is not None and not 1 <= args.cut_count <= matrix.n:
-        print(f"error: --cut-count must lie in [1, {matrix.n}]",
-              file=sys.stderr)
-        return 2
-    if args.cut_height is not None and not args.cut_height >= 0.0:
-        print("error: --cut-height must be nonnegative", file=sys.stderr)
-        return 2
+        raise UsageError(f"--cut-count must lie in [1, {matrix.n}]")
     distances = pairwise_distances(matrix, args.metric, args.normalize)
     dendrogram = agglomerate(distances, args.linkage, matrix.ids)
     os.makedirs(args.out_dir, exist_ok=True)
-    meta = {
-        "metric": args.metric,
-        "normalize": str(args.normalize).lower(),
-        "linkage": args.linkage,
-    }
-    write_distance_csv(
-        distances, matrix.ids, os.path.join(args.out_dir, "distances.csv"),
-        meta,
-    )
+    out = partial(os.path.join, args.out_dir)
+    meta = {"metric": args.metric, "normalize": str(args.normalize).lower(),
+            "linkage": args.linkage}
+    write_distance_csv(distances, matrix.ids, out("distances.csv"), meta)
     text = export_dendrogram(dendrogram, "text")
-    with open(os.path.join(args.out_dir, "dendrogram.txt"), "w") as handle:
+    with open(out("dendrogram.txt"), "w") as handle:
         handle.write(metadata_lines(meta))
         handle.write(text)
-    with open(os.path.join(args.out_dir, "dendrogram.nwk"), "w") as handle:
+    with open(out("dendrogram.nwk"), "w") as handle:
         handle.write(export_dendrogram(dendrogram, "newick") + "\n")
 
     print(f"{matrix.n} rows, {len(dendrogram.merges)} merges "
@@ -340,28 +313,37 @@ def cmd_cluster(args) -> int:
             dendrogram, count=args.cut_count, height=args.cut_height
         )
         write_assignment_csv(
-            assignment, matrix.ids,
-            os.path.join(args.out_dir, "clusters.csv"),
+            assignment, matrix.ids, out("clusters.csv"),
             {**meta, "clusters": assignment.count},
         )
         print(f"cut into {assignment.count} clusters -> clusters.csv")
-    return 0
+
+
+def _missing_root(path) -> str | None:
+    """The outermost directory or file on `path` that does not exist yet,
+    or None if `path` exists."""
+    path, root = os.path.abspath(path), None
+    while not os.path.lexists(path):
+        path, root = os.path.dirname(path), path
+    return root
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one stage; the only place that turns an error into an exit code."""
+    args = build_parser().parse_args(argv)
+    created = _missing_root(args.out if "out" in args else args.out_dir)
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "features":
-            return cmd_features(args)
-        if args.command == "evaluate":
-            return cmd_evaluate(args)
-        return cmd_cluster(args)
-    except (OSError, ValueError) as exc:
+        args.run(args)
+    except BaseException as exc:
+        if created is not None and os.path.isdir(created):
+            shutil.rmtree(created, ignore_errors=True)
+        elif created is not None and os.path.lexists(created):
+            os.remove(created)
+        if not isinstance(exc, (OSError, ValueError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
+    return 0
 
 
 if __name__ == "__main__":

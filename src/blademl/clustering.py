@@ -113,7 +113,17 @@ def pairwise_distances(
         def row(i):
             return np.sqrt(((values[i] - values[i + 1:]) ** 2).sum(axis=1))
     else:
-        norms = np.sqrt((values ** 2).sum(axis=1))
+        # A nonzero row whose squared norm overflows or leaves the normal
+        # range is divided by its largest magnitude; cosine ignores scale.
+        squares = (values ** 2).sum(axis=1)
+        peaks = np.abs(values).max(axis=1)
+        normal = (squares >= np.finfo(np.float64).tiny) & (squares < np.inf)
+        scaled = ~normal & (peaks > 0.0)
+        if scaled.any():
+            values = values.copy()
+            values[scaled] /= peaks[scaled, None]
+            squares[scaled] = (values[scaled] ** 2).sum(axis=1)
+        norms = np.sqrt(squares)
 
         def row(i):
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -721,6 +721,10 @@ def test_train_config_validation():
         TrainConfig(tolerance=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(l2=-0.1)
+    for field in ("learning_rate", "tolerance", "l2"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TrainConfig(**{field: value})
     with pytest.raises(ValueError):
         TrainConfig(hidden=())
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import check, which needs a fresh interpreter, spawns one.
 
 import csv
 import filecmp
+import importlib.util
 import os
 import subprocess
 import sys
@@ -16,16 +17,39 @@ from pathlib import Path
 import pytest
 
 from blademl import __version__
-from blademl import cli
+from blademl import cli, synthgen
 from blademl.features import read_features_csv
 from digests import artefact_digests, read_pinned
 
 # sha256 of every artefact of the `pipeline` fixture run.
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.sha256"
+TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def _pipeline_argvs(root):
+    """The four stage argvs of the `pipeline` run, writing under root."""
+    images, feats = root / "images", root / "features.csv"
+    return [[str(a) for a in argv] for argv in (
+        ("gen", "--out", images, "--counts", "6,6,6", "--seed", 3,
+         "--width", 32, "--height", 32),
+        ("features", "--images", images, "--labels", images / "labels.csv",
+         "--out", feats),
+        ("evaluate", "--features", feats, "--out-dir", root / "reports",
+         "--k", 2, "--seed", 5, "--logreg-limit", 20, "--mlp-epochs", 2),
+        ("cluster", "--features", feats, "--out-dir", root / "clusters",
+         "--cut-count", 3),
+    )]
+
+
+def _pipeline_digests(root):
+    return artefact_digests(root / "features.csv", {
+        "images": root / "images", "reports": root / "reports",
+        "clusters": root / "clusters",
+    })
 
 
 def _read_rows(path):
@@ -39,19 +63,8 @@ def _read_rows(path):
 def pipeline(tmp_path_factory):
     """One full gen -> features -> evaluate -> cluster run, shared."""
     root = tmp_path_factory.mktemp("pipeline")
-    images = root / "images"
-    feats = root / "features.csv"
-    reports = root / "reports"
-    clusters = root / "clusters"
-    assert run("gen", "--out", images, "--counts", "6,6,6",
-               "--seed", 3, "--width", 32, "--height", 32) == 0
-    assert run("features", "--images", images,
-               "--labels", images / "labels.csv", "--out", feats) == 0
-    assert run("evaluate", "--features", feats, "--out-dir", reports,
-               "--k", 2, "--seed", 5,
-               "--logreg-limit", 20, "--mlp-epochs", 2) == 0
-    assert run("cluster", "--features", feats, "--out-dir", clusters,
-               "--cut-count", 3) == 0
+    for argv in _pipeline_argvs(root):
+        assert cli.main(argv) == 0
     return root
 
 
@@ -118,11 +131,20 @@ def test_cluster_artifacts(pipeline):
 
 
 def test_pipeline_golden_digests(pipeline):
-    got = artefact_digests(pipeline / "features.csv", {
-        "images": pipeline / "images", "reports": pipeline / "reports",
-        "clusters": pipeline / "clusters",
-    })
-    assert got == read_pinned(GOLDEN)
+    assert _pipeline_digests(pipeline) == read_pinned(GOLDEN)
+
+
+def test_traced_replay_writes_cli_bytes(tmp_path):
+    # The benchmark's `--trace 1` replay parses the CLI's argv with
+    # cli.build_parser() and restates each stage; it must write what
+    # cli.main writes.
+    spec = importlib.util.spec_from_file_location("traced", TRACED)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    tracer = traced.Tracer("test")
+    walls = traced.run_stages(tracer, _pipeline_argvs(tmp_path), tmp_path)
+    assert set(walls) == {"gen", "features", "evaluate", "cluster"}
+    assert _pipeline_digests(tmp_path) == read_pinned(GOLDEN)
 
 
 def test_evaluate_and_cluster_skip_numpy_ma(pipeline, tmp_path):
@@ -149,25 +171,9 @@ def test_evaluate_and_cluster_skip_numpy_ma(pipeline, tmp_path):
 
 
 def test_rerun_byte_identical(pipeline, tmp_path):
-    images = tmp_path / "images"
-    feats = tmp_path / "features.csv"
-    reports = tmp_path / "reports"
-    clusters = tmp_path / "clusters"
-    assert run("gen", "--out", images, "--counts", "6,6,6",
-               "--seed", 3, "--width", 32, "--height", 32) == 0
-    assert run("features", "--images", images,
-               "--labels", images / "labels.csv", "--out", feats) == 0
-    assert run("evaluate", "--features", feats, "--out-dir", reports,
-               "--k", 2, "--seed", 5,
-               "--logreg-limit", 20, "--mlp-epochs", 2) == 0
-    assert run("cluster", "--features", feats, "--out-dir", clusters,
-               "--cut-count", 3) == 0
-    first = pipeline / "images"
-    match, mismatch, errors = filecmp.cmpfiles(
-        first, images, os.listdir(first), shallow=False
-    )
-    assert not mismatch and not errors
-    for sub in ("reports", "clusters"):
+    for argv in _pipeline_argvs(tmp_path):
+        assert cli.main(argv) == 0
+    for sub in ("images", "reports", "clusters"):
         base = pipeline / sub
         match, mismatch, errors = filecmp.cmpfiles(
             base, tmp_path / sub, os.listdir(base), shallow=False
@@ -206,13 +212,17 @@ def test_cluster_linkage_choice(pipeline, tmp_path):
 
 def test_gen_rejects_empty_corpus(tmp_path, capsys):
     assert run("gen", "--out", tmp_path / "x", "--counts", "0,0,0") == 2
-    assert "error" in capsys.readouterr().err
+    assert "error: --counts/--width/--height: corpus must contain at least " \
+        "one image" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_rejects_small_width(tmp_path, capsys):
     assert run("gen", "--out", tmp_path / "x", "--counts", "1,1,1",
                "--width", 8) == 2
-    assert "error" in capsys.readouterr().err
+    assert "error: --counts/--width/--height: image size must be at least " \
+        "16x16" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_counts_parse_errors(tmp_path, capsys):
@@ -234,6 +244,7 @@ def test_missing_inputs_exit_1(tmp_path, capsys):
                "--out-dir", tmp_path / "c") == 1
     err = capsys.readouterr().err
     assert err.count("error") == 3
+    assert os.listdir(tmp_path) == []
 
 
 def test_features_missing_image_exit_1(pipeline, tmp_path, capsys):
@@ -242,6 +253,7 @@ def test_features_missing_image_exit_1(pipeline, tmp_path, capsys):
     assert run("features", "--images", tmp_path, "--labels", labels,
                "--out", tmp_path / "f.csv") == 1
     assert "ghost.ppm" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_features_rejects_repeated_image(pipeline, tmp_path, capsys):
@@ -362,8 +374,9 @@ def test_evaluate_diverging_logreg_exit_1(pipeline, tmp_path, capsys):
 
 def test_evaluate_rejects_unknown_model(pipeline, tmp_path, capsys):
     assert run("evaluate", "--features", pipeline / "features.csv",
-               "--out-dir", tmp_path / "r", "--models", "tree,svm") == 1
+               "--out-dir", tmp_path / "r", "--models", "tree,svm") == 2
     assert "svm" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_help_and_version(capsys):
@@ -378,3 +391,125 @@ def test_help_and_version(capsys):
     for flag in ("--features", "--out-dir", "--k", "--seed", "--models",
                  "--logreg-rate", "--tree-max-depth", "--mlp-hidden"):
         assert flag in text
+
+
+# ---------------------------------------------------------------------------
+# Exit codes: 2 for a wrong flag, 1 for a bad input file, a training
+# divergence or an I/O error.  A failed stage leaves nothing at an output
+# path that did not exist before it started.
+
+
+def _fails_after(writer):
+    """`writer` that raises OSError once it has written its artefact."""
+    def write(*args, **kwargs):
+        writer(*args, **kwargs)
+        raise OSError("injected write failure")
+    return write
+
+
+@pytest.fixture(scope="module")
+def bad(tmp_path_factory):
+    """Directory of broken inputs; `nope.csv` in it does not exist."""
+    root = tmp_path_factory.mktemp("bad")
+    (root / "header.csv").write_text("name,label\nx.ppm,healthy\n")
+    return root
+
+
+GEN = ("gen", "--out", "{out}", "--counts", "1,1,1", "--width", 16,
+       "--height", 16)
+EVALUATE = ("evaluate", "--features", "{feats}", "--out-dir", "{out}",
+            "--k", 2)
+CLUSTER = ("cluster", "--features", "{feats}", "--out-dir", "{out}")
+MISSING = "{bad}/nope.csv"
+
+# (id, argv, exit code, message, (module, writer) made to fail).
+# A flag given twice takes its last value.  The flag errors given MISSING
+# as input show that the flag is checked before the input is read.
+EXIT_CASES = [
+    ("gen-write-fails", GEN, 1, "error: injected write failure",
+     (synthgen, "write_csv")),
+    ("features-bad-header", ("features", "--images", "{bad}", "--labels",
+                             "{bad}/header.csv", "--out", "{csv}"), 1,
+     "error: {bad}/header.csv: expected id,label header"),
+    ("features-write-fails", ("features", "--images", "{images}", "--labels",
+                              "{images}/labels.csv", "--out", "{csv}"), 1,
+     "error: injected write failure", (cli, "write_features_csv")),
+    ("evaluate-repeated-model", EVALUATE + ("--models", "tree,tree"), 2,
+     "error: --models entries must be unique"),
+    ("evaluate-k-1", EVALUATE + ("--k", 1), 2,
+     "error: --k: fold count must be at least 2"),
+    ("evaluate-k-above-class-count", EVALUATE + ("--k", 7), 2,
+     "error: --k: k=7 exceeds the smallest class count (6)"),
+    ("evaluate-nan-tolerance",
+     EVALUATE + ("--features", MISSING, "--logreg-tolerance", "nan"),
+     2, "error: --logreg-tolerance: tolerance must be nonnegative and finite"),
+    ("evaluate-nan-l2",
+     EVALUATE + ("--features", MISSING, "--logreg-l2", "nan"), 2,
+     "error: --logreg-l2: L2 strength must be nonnegative and finite"),
+    ("evaluate-inf-mlp-l2",
+     EVALUATE + ("--features", MISSING, "--mlp-l2", "inf"), 2,
+     "error: --mlp-l2: L2 strength must be nonnegative and finite"),
+    ("evaluate-zero-hidden",
+     EVALUATE + ("--features", MISSING, "--mlp-hidden", "4,0"), 2,
+     "error: --mlp-hidden: hidden layer sizes must all be at least 1"),
+    ("evaluate-write-fails", EVALUATE + ("--models", "tree,nb"), 1,
+     "error: injected write failure", (cli, "write_fold_scores_csv")),
+    ("cluster-both-cuts",
+     CLUSTER + ("--features", MISSING, "--cut-count", 2, "--cut-height", 1.0),
+     2, "error: give only one of --cut-count/--cut-height"),
+    ("cluster-negative-height",
+     CLUSTER + ("--features", MISSING, "--cut-height", -1.0), 2,
+     "error: --cut-height must be nonnegative"),
+    ("cluster-write-fails", CLUSTER + ("--cut-count", 3), 1,
+     "error: injected write failure", (cli, "write_assignment_csv")),
+]
+
+
+@pytest.mark.parametrize("argv,code,message,writer",
+                         [pytest.param(*case[1:4], case[4] if len(case) > 4
+                                       else None, id=case[0])
+                          for case in EXIT_CASES])
+def test_exit_codes(pipeline, bad, tmp_path, capsys, monkeypatch,
+                    argv, code, message, writer):
+    paths = {"out": tmp_path / "new" / "out", "csv": tmp_path / "f.csv",
+             "feats": pipeline / "features.csv",
+             "images": pipeline / "images", "bad": bad}
+    if writer is not None:
+        module, name = writer
+        monkeypatch.setattr(module, name, _fails_after(getattr(module, name)))
+    assert run(*(str(a).format(**paths) for a in argv)) == code
+    assert message.format(**paths) in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_stage_keeps_existing_output(pipeline, tmp_path, monkeypatch,
+                                            capsys):
+    out = tmp_path / "reports"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    monkeypatch.setattr(cli, "write_fold_scores_csv",
+                        _fails_after(cli.write_fold_scores_csv))
+    assert run("evaluate", "--features", pipeline / "features.csv",
+               "--out-dir", out, "--k", 2, "--models", "nb") == 1
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert (out / "report.csv").exists()
+    assert run("evaluate", "--features", pipeline / "features.csv",
+               "--out-dir", out, "--k", 1) == 2
+    feats = tmp_path / "features.csv"
+    feats.write_text("kept\n")
+    assert run("features", "--images", tmp_path, "--labels",
+               tmp_path / "nope.csv", "--out", feats) == 1
+    assert feats.read_text() == "kept\n"
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert capsys.readouterr().err.count("error: ") == 3
+
+
+def test_interrupted_stage_removes_fresh_output(pipeline, tmp_path,
+                                                monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "write_distance_csv", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run("cluster", "--features", pipeline / "features.csv",
+            "--out-dir", tmp_path / "new" / "out")
+    assert os.listdir(tmp_path) == []

@@ -140,10 +140,35 @@ def test_distance_full_matrix_keeps_signed_zeros():
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
 def test_distance_overflow_raises_without_warning(metric):
     m = _matrix([[0.0, 1e200], [1e200, -1e200], [2.0, 3.0]])
-    with pytest.raises(ValueError, match="distances must be finite"):
-        pairwise_distances(m, metric, normalize=False)
+    if metric == "euclidean":
+        with pytest.raises(ValueError, match="distances must be finite"):
+            pairwise_distances(m, metric, normalize=False)
+    else:
+        # Cosine ignores scale, so the two huge rows give finite distances.
+        d = pairwise_distances(m, metric, normalize=False)
+        assert d.condensed == pytest.approx([
+            1.0 + 1.0 / np.sqrt(2.0), 1.0 - 3.0 / np.sqrt(13.0),
+            1.0 + 1.0 / np.sqrt(26.0),
+        ], rel=1e-15)
     with pytest.raises(ValueError, match="finite"):
         pairwise_distances(m, metric, normalize=True)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160])
+def test_cosine_rescales_only_out_of_range_rows(scale):
+    # A row whose squared norm overflows, underflows to 0 or is subnormal is
+    # divided by its largest magnitude; a row with a normal squared norm
+    # keeps its bits, so the result equals that of the divided rows.
+    m = _matrix([[scale, scale], [2 * scale, 2 * scale], [0.0, scale],
+                 [3.0, 4.0], [0.0, 0.0]])
+    d = pairwise_distances(m, "cosine", normalize=False)
+    ref = pairwise_distances(_matrix([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0],
+                                      [3.0, 4.0], [0.0, 0.0]]),
+                             "cosine", normalize=False)
+    assert np.array_equal(d.condensed, ref.condensed)
+    assert d.get(0, 1) == pytest.approx(0.0, abs=1e-15)
+    assert d.get(0, 4) == d.get(3, 4) == 1.0
 
 
 def _traced_peak(call):
