@@ -197,6 +197,18 @@ def logistic_gradient(
     return float(g0[0, 0]), gw[0, 0]
 
 
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """np.stack(arrays), or, without a copy, the C-contiguous array whose
+    consecutive slots the arrays already are."""
+    base = arrays[0].base
+    if (isinstance(base, np.ndarray) and base.flags.c_contiguous
+            and base.shape == (len(arrays), *arrays[0].shape)
+            and all(a.__array_interface__ == slot.__array_interface__
+                    for a, slot in zip(arrays, base))):
+        return base
+    return np.stack(arrays)
+
+
 def train_logistics(
     datasets: list[LabeledDataset], cfg: TrainConfig | None = None
 ) -> list[LogisticModel]:
@@ -231,7 +243,7 @@ def train_logistics(
         y = np.stack([datasets[i].y for i in index])
         stacks.append((
             index,
-            np.stack([datasets[i].X for i in index])[:, None],
+            _stacked([datasets[i].X for i in index])[:, None],
             (y[:, None, :] == np.arange(k)[:, None]).astype(np.float64),
             np.empty((3, len(index), k, n, 1)),
             np.zeros((len(index), k)),

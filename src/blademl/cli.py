@@ -243,6 +243,8 @@ def _hyper_metadata(args) -> dict:
 
 def cmd_evaluate(args) -> None:
     specs = _model_specs(args)
+    if args.k < 2:
+        raise UsageError("--k: fold count must be at least 2")
     ds = load_labeled_csv(args.features)
     try:
         folds = stratified_kfold(ds, args.k, args.seed)

@@ -56,15 +56,19 @@ class LabeledDataset:
         """Integer class index per row, aligned with class_names."""
         return self._y
 
-    def subset(self, indices: np.ndarray) -> "LabeledDataset":
-        """Row subset preserving this dataset's class-name order."""
+    def subset(
+        self, indices: np.ndarray, out: np.ndarray | None = None
+    ) -> "LabeledDataset":
+        """Row subset preserving this dataset's class-name order.  `out`, a
+        float64 (len(indices), p) array, receives the rows and is the
+        subset's X."""
         indices = np.asarray(indices)
         m = self.matrix
         sub = FeatureMatrix(
             [m.ids[i] for i in indices],
             [m.labels[i] for i in indices],
             m.columns,
-            m.values[indices],
+            np.take(m.values, indices, axis=0, out=out),
         )
         return LabeledDataset(sub, self.class_names)
 

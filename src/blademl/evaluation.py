@@ -17,7 +17,7 @@ import numpy as np
 from . import classifiers
 from .classifiers import TrainConfig, cross_entropy_loss
 from .dataset import FoldAssignment, LabeledDataset
-from .features import zscore_normalize
+from .features import NormalizationParams
 from .fmt import fmt17, write_csv
 
 METRIC_NAMES = (
@@ -367,10 +367,18 @@ def cross_validate(
     predicted_labels = {}
     fold_sets = []
     held_out = []
-    for f in range(folds.k):
-        train_ds = ds.subset(folds.train_indices(f))
-        norm_matrix, params = zscore_normalize(train_ds.matrix)
-        fold_sets.append(LabeledDataset(norm_matrix, train_ds.class_names))
+    # The training parts of one size are the consecutive slots of one
+    # (parts, n, p) array, z-scored in place: the one copy that every model
+    # reads and the stack that train_logistics descends on.
+    train_idx = [folds.train_indices(f) for f in range(folds.k)]
+    sizes = [idx.size for idx in train_idx]
+    slots = {n: iter(np.empty((sizes.count(n), n, ds.X.shape[1])))
+             for n in sizes}
+    for f, idx in enumerate(train_idx):
+        slot = next(slots[idx.size])
+        fold_sets.append(ds.subset(idx, out=slot))
+        params = NormalizationParams(slot.mean(axis=0), slot.std(axis=0))
+        params.apply(slot, out=slot)
         held_out.append(params.apply(ds.X[folds.test_indices(f)]))
 
     for spec in specs:

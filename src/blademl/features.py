@@ -147,10 +147,13 @@ class NormalizationParams:
         if np.any(self.sd < 0.0):
             raise ValueError("standard deviations must be nonnegative")
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """(x - mean) / sd per column; zero-sd columns map to all zeros."""
+    def apply(
+        self, values: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(x - mean) / sd per column; zero-sd columns map to all zeros.
+        `out`, which may be `values` itself, receives the result."""
         values = np.asarray(values, dtype=np.float64)
-        out = values - self.mean
+        out = np.subtract(values, self.mean, out=out)
         nonzero = self.sd > 0.0
         out[:, nonzero] /= self.sd[nonzero]
         out[:, ~nonzero] = 0.0

@@ -214,6 +214,41 @@ def test_train_logistics_lockstep_matches_solo(n, k, classes, p, cfg):
         assert model_to_json(train_logistic(ds, cfg)) == model_to_json(model)
 
 
+def _with_X(ds, X):
+    m = ds.matrix
+    return LabeledDataset(FeatureMatrix(m.ids, m.labels, m.columns, X),
+                          ds.class_names)
+
+
+def test_train_logistics_stack_views_and_copies_agree():
+    # Four training sets of 30 rows: slot views of one stack are descended
+    # on without a copy; separate arrays, and views out of order or from
+    # two stacks, are stacked first.  Every model keeps its solo bits.
+    sets = _training_parts(40, 4, ["a", "b", "c"], 3, seed=73)
+    cfg = TrainConfig(0.5, 100, 1e-6, 1e-3)
+    stack = np.stack([ds.X for ds in sets])
+    other = stack.copy()
+    views = [_with_X(ds, X) for ds, X in zip(sets, stack)]
+    inputs = {
+        "views": views,
+        "arrays": [_with_X(ds, X.copy()) for ds, X in zip(sets, stack)],
+        "reversed": views[::-1],
+        "two-bases": views[:2] + [_with_X(ds, X)
+                                  for ds, X in zip(sets[2:], other[2:])],
+    }
+    assert classifiers._stacked([ds.X for ds in views]) is stack
+    for name in ("arrays", "reversed", "two-bases"):
+        X = [ds.X for ds in inputs[name]]
+        assert not np.shares_memory(classifiers._stacked(X), stack), name
+    solo = [model_to_json(train_logistic(ds, cfg)) for ds in sets]
+    for name, datasets in inputs.items():
+        expected = solo[::-1] if name == "reversed" else solo
+        assert [model_to_json(train_logistic(ds, cfg))
+                for ds in datasets] == expected, name
+        assert [model_to_json(m)
+                for m in train_logistics(datasets, cfg)] == expected, name
+
+
 def test_train_logistics_reports_divergence_in_sequential_order():
     X = (np.array(_uniforms(72, 40)).reshape(20, 2) - 0.5) * 4.0
     labels = ["a", "b"] * 10

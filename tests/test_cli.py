@@ -438,6 +438,9 @@ EXIT_CASES = [
      "error: --models entries must be unique"),
     ("evaluate-k-1", EVALUATE + ("--k", 1), 2,
      "error: --k: fold count must be at least 2"),
+    ("evaluate-k-1-missing-features", EVALUATE + ("--features", MISSING,
+                                                   "--k", 1), 2,
+     "error: --k: fold count must be at least 2"),
     ("evaluate-k-above-class-count", EVALUATE + ("--k", 7), 2,
      "error: --k: k=7 exceeds the smallest class count (6)"),
     ("evaluate-nan-tolerance",

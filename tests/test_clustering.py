@@ -1,7 +1,6 @@
 """Distance matrices, agglomeration vs naive oracle, cuts, exports."""
 
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from oracles import (
     splitmix64_stream,
     uniform_from_u64,
 )
+from tracing import traced_peak
 
 LINKAGES = ("single", "complete", "average", "ward")
 
@@ -171,29 +171,18 @@ def test_cosine_rescales_only_out_of_range_rows(scale):
     assert d.get(0, 4) == d.get(3, 4) == 1.0
 
 
-def _traced_peak(call):
-    """(result, tracemalloc peak in bytes above the memory traced at entry)."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 # n = 1,000 rows: the condensed vector is 499,500 doubles (4.0 MB), and an
 # n x n matrix would be 8.0 MB on its own.
 def test_pairwise_distances_peak_memory():
     m = _normal_rows(1000, 1000)
-    d, peak = _traced_peak(lambda: pairwise_distances(m))
+    d, peak = traced_peak(lambda: pairwise_distances(m))
     assert peak <= 1.25 * d.condensed.nbytes
 
 
 @pytest.mark.parametrize("linkage", LINKAGES)
 def test_agglomerate_peak_memory(linkage):
     d = pairwise_distances(_normal_rows(1000, 1000))
-    _, peak = _traced_peak(lambda: agglomerate(d, linkage))
+    _, peak = traced_peak(lambda: agglomerate(d, linkage))
     assert peak <= 1.25 * d.condensed.nbytes
 
 
@@ -201,7 +190,7 @@ def test_write_distance_csv_peak_memory(tmp_path):
     d = pairwise_distances(_normal_rows(1000, 1000))
     ids = [f"r{i}" for i in range(d.n)]
     path = tmp_path / "distances.csv"
-    _, peak = _traced_peak(lambda: write_distance_csv(d, ids, path))
+    _, peak = traced_peak(lambda: write_distance_csv(d, ids, path))
     assert peak <= 0.1 * d.condensed.nbytes
     with open(path) as handle:
         handle.readline()

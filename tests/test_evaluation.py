@@ -45,6 +45,7 @@ from oracles import (
     weighted_auc_ref,
     weighted_prf_ref,
 )
+from tracing import traced_peak
 
 
 def _uniforms(seed, count):
@@ -404,6 +405,19 @@ def test_cross_validate_determinism():
     b = cross_validate(ds, FAST_SPECS, folds)
     for name in a.model_names:
         np.testing.assert_array_equal(a.oof_probs[name], b.oof_probs[name])
+
+
+def test_cross_validate_peak_memory():
+    # 1,000 x 37 rows in 10 folds: one float64 copy of the training parts
+    # is 9 x 1,000 x 37 x 8 bytes (2.7 MB), and every model reads that one.
+    n, p = 1000, 37
+    X = np.array(_uniforms(56, n * p)).reshape(n, p)
+    ds = _dataset(X, [("a", "b", "c")[i % 3] for i in range(n)])
+    folds = stratified_kfold(ds, 10, seed=3)
+    specs = [ModelSpec("nb", "nb"),
+             ModelSpec("logreg", "logreg", TrainConfig(limit=20))]
+    _, peak = traced_peak(lambda: cross_validate(ds, specs, folds))
+    assert peak <= 2.0 * (folds.k - 1) * X.nbytes
 
 
 def test_cross_validate_validation():
