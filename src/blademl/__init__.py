@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .classifiers import (
     LogisticModel, MlpModel, NaiveBayesModel, TrainConfig, TreeModel,
-    cross_entropy_loss, gini_impurity, predict_logistic, predict_naive_bayes,
-    predict_tree, sigmoid, train_logistic, train_logistics, train_mlp,
+    cross_entropy_loss, sigmoid, train_logistic, train_logistics, train_mlp,
     train_mlps, train_naive_bayes, train_tree,
 )
 from .clustering import (

@@ -1,8 +1,8 @@
 """Four classifiers built from first principles.
 
 All training is deterministic: fixed data, config, and seed produce
-bit-identical models.  Every predict function returns a probability table
-aligned with the dataset's class order (entries nonnegative, summing to 1).
+bit-identical models.  Each model's `predict_proba` maps a row table to
+class probabilities in the dataset's class order (nonnegative, rows sum to 1).
 
   - Logistic regression: one-vs-rest, full-batch gradient descent on the
     mean negative log-likelihood plus an L2 penalty on the non-intercept
@@ -98,6 +98,14 @@ def _sigmoid_inplace(z, e, pos):
     z /= np.add(e, 1.0, out=e)
 
 
+def _rows(X, width: int) -> np.ndarray:
+    """X as a float64 table of rows with `width` features each."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != width:
+        raise ValueError("feature count mismatch")
+    return X
+
+
 def _check_finite(X: np.ndarray) -> None:
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
@@ -132,14 +140,10 @@ class LogisticModel:
     intercepts: np.ndarray
     coefficients: np.ndarray
 
-    @property
-    def feature_count(self) -> int:
-        return self.coefficients.shape[1]
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != self.feature_count:
-            raise ValueError("feature count mismatch")
+        """Per-class one-vs-rest sigmoid scores renormalized to sum 1; an
+        all-zero score row falls back to the uniform distribution."""
+        X = _rows(X, self.coefficients.shape[1])
         scores = sigmoid(X @ self.coefficients.T + self.intercepts)
         totals = scores.sum(axis=1, keepdims=True)
         uniform = totals[:, 0] == 0.0
@@ -294,25 +298,8 @@ def train_logistic(ds: LabeledDataset, cfg: TrainConfig | None = None) -> Logist
     return train_logistics([ds], cfg)[0]
 
 
-def predict_logistic(model: LogisticModel, x) -> np.ndarray:
-    """Per-class one-vs-rest sigmoid scores renormalized to sum 1; an
-    all-zero score row falls back to the uniform distribution."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.feature_count,):
-        raise ValueError("feature count mismatch")
-    return model.predict_proba(x[None, :])[0]
-
-
 # ---------------------------------------------------------------------------
 # Decision tree
-
-
-def gini_impurity(proportions) -> float:
-    """1 - sum(p_k^2) over a class-proportion simplex."""
-    p = np.asarray(proportions, dtype=np.float64)
-    if p.size == 0 or np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("proportions must be nonnegative and sum to 1")
-    return 1.0 - float((p ** 2).sum())
 
 
 @dataclass
@@ -342,7 +329,19 @@ class TreeModel:
     min_leaf: int
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return np.array([predict_tree(self, row) for row in np.asarray(X)])
+        """Each row's leaf class-probability table.  The rows descend as
+        index sets: `x[feature] <= threshold` goes left, NaN goes right."""
+        X = _rows(X, self.feature_count)
+        out = np.empty((len(X), len(self.class_names)))
+        stack = [(self.root, np.arange(len(X)))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                out[rows] = node.probs
+            else:
+                left = X[rows, node.feature] <= node.threshold
+                stack += [(node.left, rows[left]), (node.right, rows[~left])]
+        return out
 
 
 def _gini_children(counts, sizes):
@@ -426,18 +425,6 @@ def train_tree(ds: LabeledDataset, cfg: TrainConfig | None = None) -> TreeModel:
     return TreeModel(list(ds.class_names), X.shape[1], root, max_depth, min_leaf)
 
 
-def predict_tree(model: TreeModel, x):
-    """Route x down threshold comparisons (`<=` goes left); returns the leaf
-    class-probability table."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.feature_count,):
-        raise ValueError("feature count mismatch")
-    node = model.root
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.probs.copy()
-
-
 # ---------------------------------------------------------------------------
 # Gaussian naive Bayes
 
@@ -450,14 +437,8 @@ class NaiveBayesModel:
     variances: np.ndarray
     eps_var: float
 
-    @property
-    def feature_count(self) -> int:
-        return self.means.shape[1]
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != self.feature_count:
-            raise ValueError("feature count mismatch")
+        X = _rows(X, self.means.shape[1])
         # log P(C) + sum_i log N(x_i; mu, var), normalized in log space.
         # Overflow is reported by the finite check below, not numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -523,14 +504,6 @@ def train_naive_bayes(ds: LabeledDataset) -> NaiveBayesModel:
                            eps_var)
 
 
-def predict_naive_bayes(model: NaiveBayesModel, x) -> np.ndarray:
-    """Log-space posterior over classes for one feature row."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.feature_count,):
-        raise ValueError("feature count mismatch")
-    return model.predict_proba(x[None, :])[0]
-
-
 # ---------------------------------------------------------------------------
 # Multilayer perceptron
 
@@ -547,10 +520,7 @@ class MlpModel:
     activation: str
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != self.layer_sizes[0]:
-            raise ValueError("feature count mismatch")
-        a = X
+        a = _rows(X, self.layer_sizes[0])
         for l in range(len(self.weights) - 1):
             a = _activate(a @ self.weights[l].T + self.biases[l], self.activation)
         z = a @ self.weights[-1].T + self.biases[-1]

@@ -246,6 +246,8 @@ def cmd_evaluate(args) -> None:
     if args.k < 2:
         raise UsageError("--k: fold count must be at least 2")
     ds = load_labeled_csv(args.features)
+    if len(ds.class_names) < 2:
+        raise ValueError(f"{args.features}: evaluation needs at least 2 classes")
     try:
         folds = stratified_kfold(ds, args.k, args.seed)
     except ValueError as exc:

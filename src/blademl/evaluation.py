@@ -389,7 +389,7 @@ def cross_validate(
         probs = np.zeros((ds.n, len(classes)))
         for f, model in enumerate(models):
             probs[folds.test_indices(f)] = model.predict_proba(held_out[f])
-        predicted = [classes[int(np.argmax(row))] for row in probs]
+        predicted = [classes[c] for c in probs.argmax(axis=1)]
         cm = confusion_matrix(actual, predicted, classes)
         suites[spec.name] = _suite_from_predictions(probs, actual, cm)
         confusions[spec.name] = cm

@@ -194,6 +194,8 @@ def read_features_csv(path) -> FeatureMatrix:
     if len(header) < 3 or header[0] != "id" or header[1] != "label":
         raise ValueError(f"{path}: header must start with id,label")
     columns = header[2:]
+    if len(set(columns)) != len(columns):
+        raise ValueError(f"{path}: duplicate column names in header")
     ids: list[str] = []
     labels: list[str] = []
     vectors: list[np.ndarray] = []

@@ -585,6 +585,19 @@ def best_root_split_ref(X, y, class_count, min_leaf):
     return best
 
 
+def tree_walk_ref(root, X):
+    """Per-row tree prediction: each row follows `x[feature] <= threshold`
+    to the left child (NaN compares false, so it goes right) down to a leaf
+    and takes a copy of that leaf's probs."""
+    out = []
+    for x in np.asarray(X, dtype=np.float64):
+        node = root
+        while node.feature is not None:
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        out.append(node.probs.copy())
+    return np.array(out)
+
+
 # ---------------------------------------------------------------------------
 # Naive agglomerative clustering oracle
 

@@ -26,8 +26,6 @@ from blademl.classifiers import (
     mlp_gradients,
     mlp_loss,
     model_to_json,
-    predict_naive_bayes,
-    predict_tree,
     train_mlp,
     train_naive_bayes,
     train_tree,
@@ -301,9 +299,8 @@ def test_a3_tree_splits():
             labels[0] = "p" if labels[0] == "q" else "q"
         m1 = train_tree(_dataset(X, labels))
         m2 = train_tree(_dataset(X**3, labels))
-        p1 = np.array([predict_tree(m1, row) for row in X])
-        p2 = np.array([predict_tree(m2, row) for row in X**3])
-        np.testing.assert_array_equal(p1, p2)
+        np.testing.assert_array_equal(m1.predict_proba(X),
+                                      m2.predict_proba(X**3))
 
     assert time.perf_counter() - start < 10.0
 
@@ -483,7 +480,7 @@ def test_a8_degenerate_inputs():
     )
     nb = train_naive_bayes(flat)
     for x in ([1.0, 2.0], [1.0, 100.0], [-50.0, 2.0]):
-        p = predict_naive_bayes(nb, np.array(x))
+        p = nb.predict_proba([x])[0]
         assert np.all(np.isfinite(p))
         assert abs(float(p.sum()) - 1.0) <= 1e-12
 

@@ -16,16 +16,12 @@ from blademl.classifiers import (
     MlpModel,
     TrainConfig,
     cross_entropy_loss,
-    gini_impurity,
     init_mlp,
     logistic_gradient,
     logistic_objective,
     mlp_gradients,
     mlp_loss,
     model_to_json,
-    predict_logistic,
-    predict_naive_bayes,
-    predict_tree,
     sigmoid,
     train_logistic,
     train_logistics,
@@ -44,6 +40,7 @@ from oracles import (
     logistic_descent,
     sigmoid_sign_split,
     splitmix64_stream,
+    tree_walk_ref,
     uniform_from_u64,
 )
 
@@ -61,6 +58,10 @@ def _dataset(X, labels):
 
 def _uniforms(seed, count):
     return [uniform_from_u64(v) for v in splitmix64_stream(seed, count)]
+
+
+def _predict_row(model, x):
+    return model.predict_proba(np.array([x]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,35 +284,13 @@ def test_train_logistics_validation():
         train_logistics([a, _dataset([[0.0, 1.0], [1.0, 0.0]], ["p", "q"])])
 
 
-def test_predict_logistic_validation():
-    ds = _dataset([[0.0, 1.0], [1.0, 0.0]], ["a", "b"])
-    model = train_logistic(ds)
-    row = predict_logistic(model, [0.5, 0.5])
-    assert row.sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        predict_logistic(model, [0.5])
-
-
 def test_logistic_requires_two_classes():
     with pytest.raises(ValueError):
         train_logistic(_dataset([[0.0], [1.0]], ["a", "a"]))
 
 
 # ---------------------------------------------------------------------------
-# Impurities and trees
-
-
-def test_gini_frozen_values():
-    assert gini_impurity([0.7, 0.3]) == pytest.approx(0.42, abs=1e-12)
-    assert gini_impurity([1.0, 0.0]) == 0.0
-    for k in (2, 3, 4):
-        assert gini_impurity([1.0 / k] * k) == pytest.approx(1.0 - 1.0 / k, abs=1e-12)
-    with pytest.raises(ValueError):
-        gini_impurity([0.7, 0.7])
-    with pytest.raises(ValueError):
-        gini_impurity([-0.1, 1.1])
-    with pytest.raises(ValueError):
-        gini_impurity([])
+# Trees
 
 
 def test_tree_hand_case():
@@ -323,8 +302,8 @@ def test_tree_hand_case():
     assert root.left.is_leaf and root.right.is_leaf
     np.testing.assert_array_equal(root.left.probs, [1.0, 0.0])
     np.testing.assert_array_equal(root.right.probs, [0.0, 1.0])
-    np.testing.assert_array_equal(predict_tree(model, [0.5]), [1.0, 0.0])
-    np.testing.assert_array_equal(predict_tree(model, [2.5]), [0.0, 1.0])
+    np.testing.assert_array_equal(_predict_row(model, [0.5]), [1.0, 0.0])
+    np.testing.assert_array_equal(_predict_row(model, [2.5]), [0.0, 1.0])
 
 
 def test_tree_threshold_routes_left():
@@ -332,7 +311,7 @@ def test_tree_threshold_routes_left():
     model = train_tree(ds, TrainConfig(min_leaf=1))
     assert model.root.threshold == 0.5
     # A point landing exactly on the threshold follows the left child.
-    np.testing.assert_array_equal(predict_tree(model, [0.5]), [1.0, 0.0])
+    np.testing.assert_array_equal(_predict_row(model, [0.5]), [1.0, 0.0])
 
 
 def test_tree_tie_prefers_lowest_feature():
@@ -369,9 +348,7 @@ def test_tree_cube_transform_invariance():
     ds2 = _dataset(X**3, labels)
     m1 = train_tree(ds1)
     m2 = train_tree(ds2)
-    p1 = np.array([predict_tree(m1, row) for row in X])
-    p2 = np.array([predict_tree(m2, row) for row in X**3])
-    np.testing.assert_array_equal(p1, p2)
+    np.testing.assert_array_equal(m1.predict_proba(X), m2.predict_proba(X**3))
 
 
 def test_tree_min_leaf_blocks_splits():
@@ -401,11 +378,26 @@ def test_tree_pure_node_stops():
     assert model.root.left.is_leaf
 
 
-def test_predict_tree_validation():
-    ds = _dataset([[0.0], [1.0]], ["a", "b"])
-    model = train_tree(ds, TrainConfig(min_leaf=1))
-    with pytest.raises(ValueError):
-        predict_tree(model, [0.0, 1.0])
+def _depth(node):
+    return 0 if node.is_leaf else 1 + max(_depth(node.left), _depth(node.right))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tree_predict_matches_reference_walk(seed):
+    # Integer features put every midpoint threshold on a half-integer, so
+    # the grid of halves lands rows exactly on thresholds; NaN goes right.
+    u = np.array(_uniforms(900 + seed, 1200))
+    X = np.floor(u[:900] * 6.0).reshape(300, 3)
+    labels = [f"k{int(v * 3.0)}" for v in u[900:]]
+    model = train_tree(_dataset(X, labels),
+                       TrainConfig(max_depth=12, min_leaf=1))
+    assert _depth(model.root) >= 8
+    grid = np.arange(-1, 14) / 2.0
+    rows = np.stack(np.meshgrid(grid, grid, grid), axis=-1).reshape(-1, 3)
+    rows = np.vstack([rows, [[np.nan, 2.5, 1.0], [2.5, np.inf, np.nan],
+                             [-np.inf, np.nan, 4.5]]])
+    np.testing.assert_array_equal(model.predict_proba(rows),
+                                  tree_walk_ref(model.root, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +407,12 @@ def test_predict_tree_validation():
 def test_nb_equal_distributions_return_priors():
     ds = _dataset([[1.0], [1.0], [1.0], [1.0]], ["a", "a", "a", "b"])
     model = train_naive_bayes(ds)
-    np.testing.assert_allclose(predict_naive_bayes(model, [1.0]), [0.75, 0.25],
+    np.testing.assert_allclose(_predict_row(model, [1.0]), [0.75, 0.25],
                                atol=1e-12)
     # Far outside the (floored-variance) distributions the log-likelihoods
     # are astronomically negative; the result must still be a finite
     # probability row even though the tiny prior term is absorbed.
-    far = predict_naive_bayes(model, [57.0])
+    far = _predict_row(model, [57.0])
     assert np.all(np.isfinite(far))
     assert far.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -428,7 +420,7 @@ def test_nb_equal_distributions_return_priors():
 def test_nb_symmetric_midpoint():
     ds = _dataset([[-2.0], [0.0], [0.0], [2.0]], ["a", "a", "b", "b"])
     model = train_naive_bayes(ds)
-    np.testing.assert_allclose(predict_naive_bayes(model, [0.0]), [0.5, 0.5],
+    np.testing.assert_allclose(_predict_row(model, [0.0]), [0.5, 0.5],
                                atol=1e-12)
 
 
@@ -438,7 +430,7 @@ def test_nb_hand_posterior_matches_density_ratio():
     # P(a | x=0) = sigmoid(2).
     ds = _dataset([[-1.0], [1.0], [1.0], [3.0]], ["a", "a", "b", "b"])
     model = train_naive_bayes(ds)
-    probs = predict_naive_bayes(model, [0.0])
+    probs = _predict_row(model, [0.0])
     assert probs[0] == pytest.approx(SIGMOID_2, abs=1e-9)
 
     def density(x, mean, var):
@@ -459,7 +451,7 @@ def test_nb_variance_floor():
     total_var_max = float(ds.X.var(axis=0).max())
     assert model.eps_var == pytest.approx(1e-9 * total_var_max, rel=1e-12)
     assert np.all(model.variances >= model.eps_var)
-    probs = predict_naive_bayes(model, [0.0, 2.0])
+    probs = _predict_row(model, [0.0, 2.0])
     assert np.all(np.isfinite(probs))
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -468,7 +460,7 @@ def test_nb_all_constant_features():
     ds = _dataset([[4.0], [4.0], [4.0], [4.0]], ["a", "a", "b", "b"])
     model = train_naive_bayes(ds)
     assert model.eps_var == pytest.approx(1e-21, rel=1e-9)
-    probs = predict_naive_bayes(model, [4.0])
+    probs = _predict_row(model, [4.0])
     assert np.all(np.isfinite(probs))
     np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
@@ -479,7 +471,7 @@ def test_nb_validation():
     ds = _dataset([[0.0], [1.0]], ["a", "b"])
     model = train_naive_bayes(ds)
     with pytest.raises(ValueError):
-        predict_naive_bayes(model, [0.0, 1.0])
+        model.predict_proba([[0.0, 1.0]])
 
 
 def test_nb_nonfinite_statistics_raise():
@@ -533,14 +525,10 @@ def _mlp_2_2_2():
     return model
 
 
-def _forward(model, x):
-    return model.predict_proba(np.array([x]))[0]
-
-
 def test_mlp_forward_hand_case():
     model = _mlp_2_2_2()
     # x = (0.3, -0.2): z1 = (0.8, -0.45), relu -> (0.8, 0), z2 = (0.9, -0.9).
-    probs = _forward(model, [0.3, -0.2])
+    probs = _predict_row(model, [0.3, -0.2])
     expected0 = 1.0 / (1.0 + math.exp(-1.8))
     assert probs[0] == pytest.approx(expected0, abs=1e-12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -552,7 +540,7 @@ def test_mlp_zero_network_is_uniform():
         [np.zeros((2, 2)), np.zeros((3, 2))],
         [np.zeros(2), np.zeros(3)], "relu",
     )
-    np.testing.assert_array_equal(_forward(model, [5.0, -3.0]),
+    np.testing.assert_array_equal(_predict_row(model, [5.0, -3.0]),
                                   [1 / 3, 1 / 3, 1 / 3])
 
 
@@ -562,13 +550,13 @@ def test_mlp_dead_relu_passes_output_bias():
         [np.array([[-1.0], [-2.0]]), np.array([[1.0, 1.0], [1.0, 1.0]])],
         [np.zeros(2), np.array([math.log(3.0), 0.0])], "relu",
     )
-    probs = _forward(model, [4.0])
+    probs = _predict_row(model, [4.0])
     np.testing.assert_allclose(probs, [0.75, 0.25], atol=1e-12)
 
 
 def test_mlp_forward_validation():
     with pytest.raises(ValueError, match="feature count mismatch"):
-        _forward(_mlp_2_2_2(), [1.0])
+        _predict_row(_mlp_2_2_2(), [1.0])
 
 
 def test_mlp_gradients_match_finite_differences():
@@ -770,6 +758,42 @@ def test_train_config_validation():
         TrainConfig(max_depth=0)
     with pytest.raises(ValueError):
         TrainConfig(min_leaf=0)
+
+
+# ---------------------------------------------------------------------------
+# Prediction contract, shared by all four models
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    u = np.array(_uniforms(41, 96))
+    X = (u[:72].reshape(24, 3) - 0.5) * 4.0
+    ds = _dataset(X, [f"k{int(v * 3.0)}" for v in u[72:]])
+    return X, {
+        "tree": train_tree(ds),
+        "nb": train_naive_bayes(ds),
+        "logreg": train_logistic(ds, TrainConfig(limit=50)),
+        "mlp": train_mlp(ds, TrainConfig(limit=3, hidden=(4,))),
+    }
+
+
+@pytest.mark.parametrize("name", ["tree", "nb", "logreg", "mlp"])
+def test_predict_proba_contract(fitted, name):
+    X, models = fitted
+    model = models[name]
+    for bad in (X[0], X[:, :2], np.zeros((2, 4))):
+        with pytest.raises(ValueError, match="feature count mismatch"):
+            model.predict_proba(bad)
+    assert model.predict_proba(np.zeros((0, 3))).shape == (0, 3)
+    batch = model.predict_proba(X)
+    np.testing.assert_allclose(batch.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    one_at_a_time = np.array([_predict_row(model, x) for x in X])
+    if name in ("tree", "nb"):
+        assert batch.tobytes() == one_at_a_time.tobytes()
+    else:
+        # BLAS computes a one-row X @ W.T as a gemv and a table as a gemm,
+        # which may round the last bit of a dot product differently.
+        np.testing.assert_allclose(one_at_a_time, batch, rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,9 @@ def bad(tmp_path_factory):
     """Directory of broken inputs; `nope.csv` in it does not exist."""
     root = tmp_path_factory.mktemp("bad")
     (root / "header.csv").write_text("name,label\nx.ppm,healthy\n")
+    (root / "dup.csv").write_text("id,label,c0,c0\nr0,a,1,2\nr1,b,3,4\n")
+    (root / "one-class.csv").write_text(
+        "id,label,c0\n" + "".join(f"r{i},a,{i}\n" for i in range(4)))
     return root
 
 
@@ -455,6 +458,8 @@ EXIT_CASES = [
     ("evaluate-zero-hidden",
      EVALUATE + ("--features", MISSING, "--mlp-hidden", "4,0"), 2,
      "error: --mlp-hidden: hidden layer sizes must all be at least 1"),
+    ("evaluate-one-class", EVALUATE + ("--features", "{bad}/one-class.csv"),
+     1, "error: {bad}/one-class.csv: evaluation needs at least 2 classes"),
     ("evaluate-write-fails", EVALUATE + ("--models", "tree,nb"), 1,
      "error: injected write failure", (cli, "write_fold_scores_csv")),
     ("cluster-both-cuts",
@@ -463,6 +468,8 @@ EXIT_CASES = [
     ("cluster-negative-height",
      CLUSTER + ("--features", MISSING, "--cut-height", -1.0), 2,
      "error: --cut-height must be nonnegative"),
+    ("cluster-duplicate-columns", CLUSTER + ("--features", "{bad}/dup.csv"),
+     1, "error: {bad}/dup.csv: duplicate column names in header"),
     ("cluster-write-fails", CLUSTER + ("--cut-count", 3), 1,
      "error: injected write failure", (cli, "write_assignment_csv")),
 ]

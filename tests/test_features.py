@@ -298,6 +298,10 @@ def test_features_csv_rejects_malformed(tmp_path):
         with pytest.raises(ValueError,
                            match=r"bad\.csv: non-finite value on data row 2"):
             read_features_csv(path)
+    path.write_text("id,label,c0,c1,c0\nr0,a,1,2,3\n")
+    with pytest.raises(ValueError,
+                       match=r"bad\.csv: duplicate column names in header"):
+        read_features_csv(path)
     path.write_text("nope,label,c0\n")
     with pytest.raises(ValueError, match="header"):
         read_features_csv(path)

@@ -14,9 +14,8 @@ EXPORTS = [
     "classifiers", "clustering", "compare_models", "confusion_matrix",
     "cross_entropy_loss", "cross_validate", "cut_dendrogram", "dataset",
     "evaluation", "export_dendrogram", "extract_features", "features", "fmt",
-    "generate_dataset", "generate_image", "gini_impurity", "load_labeled_csv",
-    "load_ppm", "mean_log_loss", "pairwise_distances", "predict_logistic",
-    "predict_naive_bayes", "predict_tree", "raster", "read_features_csv",
+    "generate_dataset", "generate_image", "load_labeled_csv", "load_ppm",
+    "mean_log_loss", "pairwise_distances", "raster", "read_features_csv",
     "regression_errors", "rng", "shuffled_indices", "sigmoid",
     "stratified_kfold", "synthgen", "train_logistic", "train_logistics",
     "train_mlp", "train_mlps", "train_naive_bayes", "train_tree",
