@@ -28,6 +28,9 @@ from oracles import paint_crack_scalar, paint_erosion_scalar
 GOLDEN = Path(__file__).resolve().parent / "golden" / "synthgen.sha256"
 GOLDEN_SIZES = ((16, 16), (17, 23), (64, 64), (128, 128), (135, 61))
 GOLDEN_SEEDS = range(100)
+# Faces outside the pinned sizes, checked against the scalar painters only:
+# a wide strip and a tall thin one, where strokes and discs reach the edges.
+ODD_SIZES = ((300, 40), (17, 250))
 
 
 def generator_digests() -> dict:
@@ -58,7 +61,7 @@ def test_generate_image_golden_digests():
     assert generator_digests() == read_pinned(GOLDEN)
 
 
-@pytest.mark.parametrize("width,height", GOLDEN_SIZES)
+@pytest.mark.parametrize("width,height", GOLDEN_SIZES + ODD_SIZES)
 @pytest.mark.parametrize("painter,reference", [
     (_paint_crack, paint_crack_scalar),
     (_paint_erosion, paint_erosion_scalar),
