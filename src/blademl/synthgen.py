@@ -14,8 +14,8 @@ classifiers and the clustering stage:
 
 * crack: one random-walk polyline starting anywhere on the face, heading
   uniform, 30-60 unit steps, per-step heading perturbation within +-pi/16,
-  clamped to stay on the face; the stroke tapers, 1-3 px wide per step;
-  painted pixels get values uniform in [30, 60].
+  clamped to stay on the face; each step stamps a square whose side, 1-3
+  px, is drawn per step; painted pixels get values uniform in [30, 60].
 * erosion: 3-8 disc patches (radius 5-15) laid out as a pitting row along
   the top edge of the face (leading-edge erosion), one patch per equal
   horizontal slot with jitter, centers within the top eighth of the image;
@@ -102,33 +102,29 @@ def _paint_crack(gray: np.ndarray, rng: SplitMix64) -> None:
     angle = rng.uniform() * (2.0 * math.pi)
     steps = _rand_int(rng, *_CRACK_STEPS)
     moves = rng.uniforms(2 * steps)
-    turns = moves[0::2].tolist()
-    strokes = _in_range(moves[1::2], *_CRACK_WIDTH).tolist()
-
-    painted: set[tuple[int, int]] = set()
-
-    def stamp(px: float, py: float, stroke: int) -> None:
-        cx = math.floor(px)
-        cy = math.floor(py)
-        lo = -(stroke // 2)
-        for dy in range(lo, lo + stroke):
-            for dx in range(lo, lo + stroke):
-                row, col = cy + dy, cx + dx
-                if 0 <= row < height and 0 <= col < width:
-                    painted.add((row, col))
-
-    for turn, stroke in zip(turns, strokes):
+    strokes = _in_range(moves[1::2], *_CRACK_WIDTH)
+    points = []
+    for turn in moves[0::2].tolist():
         angle += (turn * 2.0 - 1.0) * _CRACK_TURN
         x += math.cos(angle)
         y += math.sin(angle)
         # The walk stays on the blade face.
         x = min(max(x, 0.0), width - 1.0)
         y = min(max(y, 0.0), height - 1.0)
-        stamp(x, y, stroke)
-
+        points.append((math.floor(x), math.floor(y)))
+    # Step i stamps a stroke x stroke square from -(stroke // 2): its cell k
+    # sits at row offset k // stroke and column offset k % stroke.
+    cells = strokes * strokes
+    step = np.repeat(np.arange(steps), cells)
+    k = np.arange(step.size) - np.repeat(np.cumsum(cells) - cells, cells)
+    stroke = strokes[step]
+    x0, y0 = np.array(points).T[:, step] - stroke // 2
+    rows, cols = y0 + k // stroke, x0 + k % stroke
+    on = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+    painted = np.zeros(gray.shape, dtype=bool)
+    painted[rows[on], cols[on]] = True
     # Pixel values last, in row-major order over the painted set.
-    rows, cols = np.array(sorted(painted), dtype=np.int64).reshape(-1, 2).T
-    gray[rows, cols] = _in_range(rng.uniforms(rows.size), *_CRACK_VALUE)
+    gray[painted] = _in_range(rng.uniforms(int(painted.sum())), *_CRACK_VALUE)
 
 
 def _paint_erosion(gray: np.ndarray, rng: SplitMix64) -> None:
@@ -136,22 +132,17 @@ def _paint_erosion(gray: np.ndarray, rng: SplitMix64) -> None:
     # All patch parameters first: count, then per patch radius and center.
     # Patches form a pitting row along the top edge (leading-edge erosion):
     # one per equal horizontal slot, jittered within half the slot, centers
-    # in the top eighth of the face.
+    # in the top eighth of the face.  A disc's pixels take no draws; squares
+    # use Python's `**` (C pow) per row and column, the disc test's defined
+    # arithmetic; numpy's x * x could round a tie at the disc edge
+    # differently.
     patches = _rand_int(rng, *_EROSION_PATCHES)
-    params = []
     slot = width / patches
+    discs = []
     for i in range(patches):
         radius = _rand_int(rng, *_EROSION_RADIUS)
         cx = (i + 0.5) * slot + (rng.uniform() - 0.5) * (slot * _EROSION_JITTER)
         cy = rng.uniform() * (height * _EROSION_BAND)
-        params.append((cx, cy, radius))
-    # Then per patch, row-major over the disc: a selection draw per pixel
-    # and a darkening amount for the selected 40%.  The draw count depends
-    # on the draws, so read the 2n-draw upper bound ahead from a copy of
-    # the stream and advance it by the draws used.  Squares use Python's
-    # `**` (C pow) per row and column, the disc test's defined arithmetic;
-    # numpy's x * x could round a tie at the disc edge differently.
-    for cx, cy, radius in params:
         rows = range(max(0, math.floor(cy - radius)),
                      min(height - 1, math.ceil(cy + radius)) + 1)
         cols = range(max(0, math.floor(cx - radius)),
@@ -159,22 +150,25 @@ def _paint_erosion(gray: np.ndarray, rng: SplitMix64) -> None:
         dx2 = np.array([(col - cx) ** 2 for col in cols])
         dy2 = np.array([(row - cy) ** 2 for row in rows])
         r, c = np.nonzero(dx2 + dy2[:, None] <= radius * radius)
-        u = SplitMix64(rng.state).uniforms(2 * r.size)
-        select = (u < _EROSION_DENSITY).tolist()
-        picked, amount_at = [], []
-        pos = 0
-        for k in range(r.size):
-            if select[pos]:
-                picked.append(k)
-                amount_at.append(pos + 1)
-                pos += 2
-            else:
-                pos += 1
-        rng.advance(pos)
-        r = r[picked] + rows.start
-        c = c[picked] + cols.start
-        amounts = _in_range(u[amount_at], *_EROSION_DARKEN)
-        gray[r, c] = np.maximum(gray[r, c] - amounts, 0)
+        discs.append((r + rows.start) * width + c + cols.start)
+    pixels = np.concatenate(discs)
+    # Then per disc, row-major over its pixels: a selection draw per pixel
+    # and a darkening amount for the selected 40%, so n pixels take at most
+    # 2n draws, read ahead from a copy of the stream.  Draw j is a selection
+    # draw iff the draws below 0.4 right before it, back to draw 0 or the
+    # last draw >= 0.4, are even in number (selection and amount alternate).
+    u = SplitMix64(rng.state).uniforms(2 * pixels.size)
+    below = u < _EROSION_DENSITY
+    index = np.arange(u.size)
+    start = np.maximum.accumulate(index * np.concatenate(([1], ~below[:-1])))
+    draws = np.flatnonzero((index - start) % 2 == 0)[:pixels.size]
+    picked = below[draws]
+    rng.advance(pixels.size + int(picked.sum()))
+    # Amounts are nonnegative and the face starts in [0, 255], so one clamp
+    # after all discs equals one per disc.
+    np.subtract.at(gray, np.divmod(pixels[picked], width),
+                   _in_range(u[draws[picked] + 1], *_EROSION_DARKEN))
+    np.maximum(gray, 0, out=gray)
 
 
 def generate_image(label: str, rng: SplitMix64, width: int, height: int) -> Raster:
@@ -190,7 +184,7 @@ def generate_image(label: str, rng: SplitMix64, width: int, height: int) -> Rast
         _paint_crack(gray, rng)
     elif label == "erosion":
         _paint_erosion(gray, rng)
-    rgb = np.repeat(gray[:, :, None], 3, axis=2)
+    rgb = np.repeat(gray.astype(np.uint8)[:, :, None], 3, axis=2)
     return Raster(width, height, rgb.reshape(-1))
 
 
