@@ -352,6 +352,10 @@ def _gini_children(counts, sizes):
 def _best_split(X, y, counts, min_leaf, parent_impurity):
     """Best (decrease, feature, threshold) over all midpoint candidates.
 
+    A threshold is the midpoint of the two sorted values it separates, or
+    the lower value when the midpoint rounds onto the upper one (adjacent
+    doubles) or overflows, so `x <= threshold` always splits them.
+
     counts holds the node's class counts.  For each feature, the left
     children's class counts are prefix sums of one-hot rows in sorted order
     and the right children's are counts minus those, exact integers either
@@ -386,7 +390,9 @@ def _best_split(X, y, counts, min_leaf, parent_impurity):
         if decrease[i] > best_decrease:
             best_decrease = float(decrease[i])
             best_feature = j
-            best_threshold = (xs[i] + xs[i + 1]) / 2.0
+            lo, hi = float(xs[i]), float(xs[i + 1])
+            mid = (lo + hi) / 2.0
+            best_threshold = mid if lo <= mid < hi else lo
     return best_decrease, best_feature, best_threshold
 
 
@@ -401,12 +407,10 @@ def _grow(X, y, k, depth, max_depth, min_leaf):
     if feature is None or decrease <= 0.0:
         return leaf
     mask = X[:, feature] <= threshold
-    if mask.all() or not mask.any():
-        return leaf
     return TreeNode(
         n=n,
         feature=feature,
-        threshold=float(threshold),
+        threshold=threshold,
         left=_grow(X[mask], y[mask], k, depth + 1, max_depth, min_leaf),
         right=_grow(X[~mask], y[~mask], k, depth + 1, max_depth, min_leaf),
     )

@@ -314,6 +314,24 @@ def test_tree_threshold_routes_left():
     np.testing.assert_array_equal(_predict_row(model, [0.5]), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("a,b", [
+    (2.0**52 + 1, 2.0**52 + 2),
+    (1e-300, math.nextafter(1e-300, 1.0)),
+    (1.7e308, 1.79e308),
+    (-1.79e308, -1.7e308),
+], ids=["adjacent-2**52", "adjacent-1e-300", "overflow-up", "overflow-down"])
+def test_tree_splits_where_the_midpoint_fails(a, b):
+    # (a + b) / 2 rounds onto b or overflows to +-inf, so the threshold is
+    # a itself; the classes still split at the root, with no warning.
+    ds = _dataset([[a], [a], [b], [b]], ["x", "x", "y", "y"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_tree(ds, TrainConfig(min_leaf=1))
+    assert model.root.threshold == a
+    np.testing.assert_array_equal(model.root.left.probs, [1.0, 0.0])
+    np.testing.assert_array_equal(model.root.right.probs, [0.0, 1.0])
+
+
 def test_tree_tie_prefers_lowest_feature():
     # Both features separate the classes perfectly; feature 0 must win.
     ds = _dataset([[0.0, 10.0], [1.0, 11.0]], ["A", "B"])
@@ -472,6 +490,10 @@ def test_nb_validation():
     model = train_naive_bayes(ds)
     with pytest.raises(ValueError):
         model.predict_proba([[0.0, 1.0]])
+    with pytest.raises(ValueError, match="features must be finite"):
+        train_naive_bayes(_dataset([[0.0], [np.nan]], ["a", "b"]))
+    with pytest.raises(ValueError, match="every class needs at least one"):
+        train_naive_bayes(LabeledDataset(ds.matrix, ["a", "b", "c"]))
 
 
 def test_nb_nonfinite_statistics_raise():

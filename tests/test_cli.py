@@ -147,8 +147,10 @@ def test_traced_replay_writes_cli_bytes(tmp_path):
     assert _pipeline_digests(tmp_path) == read_pinned(GOLDEN)
 
 
-def test_evaluate_and_cluster_skip_numpy_ma(pipeline, tmp_path):
+def test_gen_evaluate_and_cluster_skip_numpy_ma(pipeline, tmp_path):
     # A fresh interpreter, so no other test has imported numpy.ma already.
+    gen = ["gen", "--out", str(tmp_path / "g"), "--counts", "2,2,2",
+           "--width", "32", "--height", "32"]
     feats = str(pipeline / "features.csv")
     evaluate = ["evaluate", "--features", feats, "--out-dir", str(tmp_path / "r"),
                 "--k", "2", "--seed", "5", "--logreg-limit", "20",
@@ -158,6 +160,7 @@ def test_evaluate_and_cluster_skip_numpy_ma(pipeline, tmp_path):
     script = (
         "import sys\n"
         "from blademl import cli\n"
+        f"assert cli.main({gen!r}) == 0\n"
         f"assert cli.main({evaluate!r}) == 0\n"
         f"assert cli.main({cluster!r}) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
@@ -412,6 +415,9 @@ def bad(tmp_path_factory):
     """Directory of broken inputs; `nope.csv` in it does not exist."""
     root = tmp_path_factory.mktemp("bad")
     (root / "header.csv").write_text("name,label\nx.ppm,healthy\n")
+    (root / "malformed.csv").write_text("id,label\nx.ppm\n")
+    (root / "no-rows.csv").write_text("id,label\n")
+    (root / "one-row.csv").write_text("id,label,c0\nr0,a,1\n")
     (root / "dup.csv").write_text("id,label,c0,c0\nr0,a,1,2\nr1,b,3,4\n")
     (root / "one-class.csv").write_text(
         "id,label,c0\n" + "".join(f"r{i},a,{i}\n" for i in range(4)))
@@ -434,9 +440,17 @@ EXIT_CASES = [
     ("features-bad-header", ("features", "--images", "{bad}", "--labels",
                              "{bad}/header.csv", "--out", "{csv}"), 1,
      "error: {bad}/header.csv: expected id,label header"),
+    ("features-malformed-label-row",
+     ("features", "--images", "{bad}", "--labels", "{bad}/malformed.csv",
+      "--out", "{csv}"), 1, "error: {bad}/malformed.csv: malformed row 1"),
+    ("features-no-label-rows",
+     ("features", "--images", "{bad}", "--labels", "{bad}/no-rows.csv",
+      "--out", "{csv}"), 1, "error: {bad}/no-rows.csv: no labeled rows"),
     ("features-write-fails", ("features", "--images", "{images}", "--labels",
                               "{images}/labels.csv", "--out", "{csv}"), 1,
      "error: injected write failure", (cli, "write_features_csv")),
+    ("evaluate-no-models", EVALUATE + ("--features", MISSING, "--models", ","),
+     2, "error: --models must name at least one model"),
     ("evaluate-repeated-model", EVALUATE + ("--models", "tree,tree"), 2,
      "error: --models entries must be unique"),
     ("evaluate-k-1", EVALUATE + ("--k", 1), 2,
@@ -458,6 +472,9 @@ EXIT_CASES = [
     ("evaluate-zero-hidden",
      EVALUATE + ("--features", MISSING, "--mlp-hidden", "4,0"), 2,
      "error: --mlp-hidden: hidden layer sizes must all be at least 1"),
+    ("evaluate-non-integer-hidden",
+     EVALUATE + ("--features", MISSING, "--mlp-hidden", "4,x"), 2,
+     "--mlp-hidden: invalid literal for int() with base 10: 'x'"),
     ("evaluate-one-class", EVALUATE + ("--features", "{bad}/one-class.csv"),
      1, "error: {bad}/one-class.csv: evaluation needs at least 2 classes"),
     ("evaluate-write-fails", EVALUATE + ("--models", "tree,nb"), 1,
@@ -468,6 +485,8 @@ EXIT_CASES = [
     ("cluster-negative-height",
      CLUSTER + ("--features", MISSING, "--cut-height", -1.0), 2,
      "error: --cut-height must be nonnegative"),
+    ("cluster-one-row", CLUSTER + ("--features", "{bad}/one-row.csv"), 2,
+     "error: --features: clustering needs at least 2 rows"),
     ("cluster-duplicate-columns", CLUSTER + ("--features", "{bad}/dup.csv"),
      1, "error: {bad}/dup.csv: duplicate column names in header"),
     ("cluster-write-fails", CLUSTER + ("--cut-count", 3), 1,
@@ -487,7 +506,11 @@ def test_exit_codes(pipeline, bad, tmp_path, capsys, monkeypatch,
     if writer is not None:
         module, name = writer
         monkeypatch.setattr(module, name, _fails_after(getattr(module, name)))
-    assert run(*(str(a).format(**paths) for a in argv)) == code
+    try:
+        got = run(*(str(a).format(**paths) for a in argv))
+    except SystemExit as exc:  # argparse rejects a flag's value itself
+        got = exc.code
+    assert got == code
     assert message.format(**paths) in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 

@@ -530,6 +530,15 @@ def test_export_deep_chain():
     assert all(total == float(n - 1) for _, total in found)
 
 
+def test_dendrogram_validation():
+    merges = [Merge(0, 1, 1.0, 3), Merge(2, 3, 2.0, 4)]
+    with pytest.raises(ValueError, match="n - 1 merges"):
+        Dendrogram(3, merges[:1], "single", ["a", "b", "c"])
+    with pytest.raises(ValueError, match="leaf names must cover every leaf"):
+        Dendrogram(3, merges, "single", ["a", "b"])
+    assert Dendrogram(3, merges, "single", ["a", "b", "c"]).n == 3
+
+
 def test_export_single_leaf():
     dg = Dendrogram(1, [], "average", ["only"])
     assert export_dendrogram(dg, "newick") == "only;"

@@ -74,7 +74,10 @@ def test_load_labeled_csv_errors(tmp_path):
     with pytest.raises(ValueError, match="duplicate id"):
         load_labeled_csv(path)
     path.write_text("id,label,c0\nr0,a,1.0\nr1,,2.0\n")
-    with pytest.raises(ValueError, match="empty label"):
+    with pytest.raises(ValueError, match="empty label on data row 2"):
+        load_labeled_csv(path)
+    path.write_text("id,label,c0\nr0,,1.0\nr1,,2.0\n")
+    with pytest.raises(ValueError, match=r"f\.csv: empty label column"):
         load_labeled_csv(path)
 
 

@@ -80,6 +80,15 @@ def test_confusion_matrix_counts():
         confusion_matrix(["a", "a"], ["a"], ["a"])
 
 
+def test_confusion_matrix_validation():
+    with pytest.raises(ValueError, match="square over the class list"):
+        ConfusionMatrix(["a", "b"], np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square over the class list"):
+        ConfusionMatrix(["a", "b", "c"], np.ones((2, 2)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        ConfusionMatrix(["a", "b"], np.array([[1, -1], [0, 2]]))
+
+
 def test_confusion_empty_row_proportions():
     cm = ConfusionMatrix(["a", "b"], np.array([[3, 1], [0, 0]]))
     np.testing.assert_array_equal(cm.proportions[1], [0.0, 0.0])
@@ -221,6 +230,8 @@ def test_score_table_width_must_match_classes(metric):
         metric(narrow, ["a", "b", "c"], ["a", "b", "c"])
     with pytest.raises(ValueError, match=r"shape \(2,\) needs"):
         metric(np.array([0.5, 0.5]), ["a", "b"], ["a", "b"])
+    with pytest.raises(ValueError, match="scores and labels must have equal"):
+        metric(np.full((2, 2), 0.5), ["a", "b", "a"], ["a", "b"])
 
 
 def test_mean_log_loss_hand_case():

@@ -16,7 +16,7 @@ from blademl.features import (
     write_features_csv,
     zscore_normalize,
 )
-from blademl.fmt import read_csv, write_csv
+from blademl.fmt import read_csv, render_json, write_csv, write_float_rows
 from blademl.raster import Raster
 from blademl.rng import SplitMix64
 from blademl.synthgen import CLASS_NAMES, generate_image
@@ -370,6 +370,19 @@ def test_features_csv_rejects_zero_columns(tmp_path):
     with pytest.raises(ValueError, match="at least one value column"):
         write_features_csv(m, tmp_path / "f.csv")
     assert not (tmp_path / "f.csv").exists()
+
+
+def test_float_rows_without_rows_write_the_header_only(tmp_path):
+    path = tmp_path / "f.csv"
+    write_float_rows(path, ["id", "c0"], [], np.empty((0, 1)), {"m": "x"})
+    assert path.read_text() == "# m: x\nid,c0\n"
+
+
+def test_render_json_rejects_non_finite():
+    assert render_json({"w": [1.0, 0.5]}) == '{\n  "w": [1, 0.5]\n}'
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="cannot serialize non-finite"):
+            render_json({"w": [1.0, value]})
 
 
 def test_feature_matrix_validation():

@@ -1,4 +1,8 @@
-"""The package's public surface."""
+"""The package's public surface and its dependencies."""
+
+import ast
+import sys
+from pathlib import Path
 
 import blademl
 
@@ -25,3 +29,21 @@ EXPORTS = [
 
 def test_public_exports_are_pinned():
     assert sorted(blademl.__all__) == EXPORTS
+
+
+def test_imports_stay_within_stdlib_and_numpy():
+    # numpy is the only third-party dependency; a relative import
+    # (level > 0) stays inside the package.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "blademl"}
+    outside = []
+    for path in sorted(Path(blademl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []

@@ -64,6 +64,14 @@ def test_bad_maxval():
     assert err.value.offset == data.index(b"65535")
 
 
+def test_non_digit_dimension():
+    for data, token in ((b"P3\n1x 1\n255\n1 2 3\n", b"1x"),
+                        (b"P6\n1 -1\n255\n" + bytes(3), b"-1")):
+        with pytest.raises(PpmHeaderError, match="invalid .* token") as err:
+            load_ppm(data)
+        assert err.value.offset == data.index(token)
+
+
 def test_zero_dimensions():
     with pytest.raises(PpmZeroDimensionError):
         load_ppm(b"P3\n0 1\n255\n")
