@@ -35,7 +35,7 @@ from .evaluation import (
 )
 from .features import FeatureMatrix, extract_features, read_features_csv, \
     write_features_csv, FEATURE_COLUMNS
-from .fmt import iter_csv, metadata_lines
+from .fmt import metadata_lines
 from .raster import load_ppm
 from .synthgen import CLASS_NAMES, GenConfig, generate_dataset
 
@@ -48,14 +48,14 @@ def _parse_counts(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
-            "--counts needs three comma-separated values (healthy,crack,erosion)"
+            "needs three comma-separated values (healthy,crack,erosion)"
         )
     try:
         counts = tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--counts: {exc}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     if any(c < 0 for c in counts):
-        raise argparse.ArgumentTypeError("--counts values must be nonnegative")
+        raise argparse.ArgumentTypeError("values must be nonnegative")
     return counts
 
 
@@ -63,7 +63,7 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--mlp-hidden: {exc}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 # evaluate's hyperparameters.  Per model: its classifiers defaults and, per
@@ -168,27 +168,10 @@ def cmd_gen(args) -> None:
     print(f"wrote {len(entries)} files + labels.csv to {args.out}")
 
 
-def _read_labels(path) -> list[tuple[str, str]]:
-    rows = iter_csv(path)
-    if next(rows, [])[:2] != ["id", "label"]:
-        raise ValueError(f"{path}: expected id,label header")
-    entries = []
-    seen: dict[str, int] = {}
-    for i, row in enumerate(rows, 1):
-        if len(row) != 2 or not row[0] or not row[1]:
-            raise ValueError(f"{path}: malformed row {i}")
-        if seen.setdefault(row[0], i) != i:
-            raise ValueError(f"{path}: {row[0]!r} on rows {seen[row[0]]} and {i}")
-        entries.append((row[0], row[1]))
-    if not entries:
-        raise ValueError(f"{path}: no labeled rows")
-    return entries
-
-
 def cmd_features(args) -> None:
-    entries = _read_labels(args.labels)
+    table = load_labeled_csv(args.labels, value_columns=False).matrix
     vectors = []
-    for name, _ in entries:
+    for name in table.ids:
         path = os.path.join(args.images, name)
         try:
             with open(path, "rb") as handle:
@@ -196,8 +179,7 @@ def cmd_features(args) -> None:
             vectors.append(extract_features(raster))
         except (OSError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    ids, labels = map(list, zip(*entries))
-    matrix = FeatureMatrix(ids, labels, list(FEATURE_COLUMNS), vectors)
+    matrix = FeatureMatrix(table.ids, table.labels, list(FEATURE_COLUMNS), vectors)
     write_features_csv(
         matrix, args.out,
         metadata={"images": args.images, "labels": args.labels},

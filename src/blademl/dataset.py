@@ -33,15 +33,9 @@ class LabeledDataset:
 
     @classmethod
     def from_matrix(cls, m: FeatureMatrix) -> "LabeledDataset":
-        if m.labels is None:
-            raise ValueError("labeled dataset requires a label column")
-        seen: list[str] = []
-        for label in m.labels:
-            if label == "":
-                raise ValueError("labeled dataset requires nonempty labels")
-            if label not in seen:
-                seen.append(label)
-        return cls(m, seen)
+        if "" in (m.labels or ()):
+            raise ValueError("labeled dataset requires nonempty labels")
+        return cls(m, list(dict.fromkeys(m.labels or ())))
 
     @property
     def n(self) -> int:
@@ -73,26 +67,17 @@ class LabeledDataset:
         return LabeledDataset(sub, self.class_names)
 
 
-def load_labeled_csv(path) -> LabeledDataset:
+def load_labeled_csv(path, value_columns: bool = True) -> LabeledDataset:
     """Load a features CSV whose label column is fully populated.
 
-    Rows keep file order; class names are recorded in first-appearance
-    order.  Missing ids, duplicate ids, and empty labels are each rejected
-    with a distinct message.
+    read_features_csv(path, value_columns) checks the file; rows keep file
+    order, and class names are recorded in first-appearance order.
     """
-    m = read_features_csv(path)
-    seen_ids = set()
-    for i, row_id in enumerate(m.ids):
-        if row_id == "":
-            raise ValueError(f"{path}: missing id on data row {i + 1}")
-        if row_id in seen_ids:
-            raise ValueError(f"{path}: duplicate id {row_id!r} on data row {i + 1}")
-        seen_ids.add(row_id)
+    m = read_features_csv(path, value_columns)
     if m.labels is None:
         raise ValueError(f"{path}: empty label column")
-    for i, label in enumerate(m.labels):
-        if label == "":
-            raise ValueError(f"{path}: empty label on data row {i + 1}")
+    if "" in m.labels:
+        raise ValueError(f"{path}: empty label on data row {m.labels.index('') + 1}")
     return LabeledDataset.from_matrix(m)
 
 

@@ -181,22 +181,30 @@ def write_features_csv(m: FeatureMatrix, path, metadata: dict | None = None) -> 
     )
 
 
-def read_features_csv(path) -> FeatureMatrix:
+def read_features_csv(path, value_columns: bool = True) -> FeatureMatrix:
     """Read the CSV format of write_features_csv after its `#` metadata lines.
 
-    Rows whose cell count differs from the header, and non-numeric or
-    non-finite cells, are rejected, naming the offending data row.
+    The one reader of the pipeline's CSV inputs, labels.csv too: with
+    `value_columns` false it accepts a header of id,label alone.  Each
+    error names the file and, where it has one, the data row or rows or
+    the column: a header that does not start with id,label, names no value
+    column or repeats a column name; no data rows; a row whose cell count
+    differs from the header's; a missing or repeated id; a non-numeric or
+    non-finite cell; a column of n rows holding a magnitude M with
+    8 n M^2 at or above the largest double.
     """
     rows = iter_csv(path)
     header = next(rows, None)
     if header is None:
         raise ValueError(f"{path}: empty feature file")
-    if len(header) < 3 or header[0] != "id" or header[1] != "label":
+    if header[:2] != ["id", "label"]:
         raise ValueError(f"{path}: header must start with id,label")
     columns = header[2:]
+    if value_columns and not columns:
+        raise ValueError(f"{path}: header row has no value column after id,label")
     if len(set(columns)) != len(columns):
         raise ValueError(f"{path}: duplicate column names in header")
-    ids: list[str] = []
+    first_row: dict[str, int] = {}  # id -> data row, in file order
     labels: list[str] = []
     vectors: list[np.ndarray] = []
     for i, row in enumerate(rows, 1):
@@ -205,15 +213,31 @@ def read_features_csv(path) -> FeatureMatrix:
                 f"{path}: wrong column count on data row {i} "
                 f"({len(row)} cells, expected {len(header)})"
             )
-        ids.append(row[0])
+        if not row[0]:
+            raise ValueError(f"{path}: missing id on data row {i}")
+        if first_row.setdefault(row[0], i) != i:
+            raise ValueError(f"{path}: duplicate id {row[0]!r} on data rows "
+                             f"{first_row[row[0]]} and {i}")
         labels.append(row[1])
         try:
             vectors.append(np.array([float(cell) for cell in row[2:]]))
         except ValueError as exc:
             raise ValueError(f"{path}: non-numeric value on data row {i}") from exc
-    values = np.array(vectors).reshape(len(ids), len(columns))
+    n = len(labels)
+    if not n:
+        raise ValueError(f"{path}: no data rows")
+    values = np.array(vectors).reshape(n, len(columns))
     nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if nonfinite.size:
         raise ValueError(f"{path}: non-finite value on data row {nonfinite[0] + 1}")
+    # While 8 n M^2 is finite, M a column's largest magnitude, the mean and
+    # population sd of any subset of its rows (a fold, the whole file) are.
+    limit = np.sqrt(np.finfo(np.float64).max / (8 * n))
+    over = np.flatnonzero(np.abs(values).max(axis=0) >= limit)
+    if over.size:
+        raise ValueError(f"{path}: column {columns[over[0]]}: a magnitude of "
+                         f"{limit:.3g} or more can overflow the mean or sd of "
+                         f"{n} rows")
     has_labels = any(label != "" for label in labels)
-    return FeatureMatrix(ids, labels if has_labels else None, columns, values)
+    return FeatureMatrix(list(first_row), labels if has_labels else None,
+                         columns, values)

@@ -268,8 +268,8 @@ def test_features_rejects_repeated_image(pipeline, tmp_path, capsys):
     out = tmp_path / "f.csv"
     assert run("features", "--images", pipeline / "images", "--labels", labels,
                "--out", out) == 1
-    assert f"error: {labels}: 'healthy_000.ppm' on rows 1 and 3" in \
-        capsys.readouterr().err
+    assert f"error: {labels}: duplicate id 'healthy_000.ppm' on data rows 1 " \
+        "and 3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -421,6 +421,17 @@ def bad(tmp_path_factory):
     (root / "dup.csv").write_text("id,label,c0,c0\nr0,a,1,2\nr1,b,3,4\n")
     (root / "one-class.csv").write_text(
         "id,label,c0\n" + "".join(f"r{i},a,{i}\n" for i in range(4)))
+    # Each defect once, in a file that every reader (labels.csv too) reads
+    # up to it.
+    (root / "missing-id.csv").write_text("id,label,c0\nr0,a,1\n,b,2\n")
+    (root / "dup-id.csv").write_text("id,label,c0\nr0,a,1\nr1,b,2\nr0,a,3\n")
+    (root / "short-row.csv").write_text("id,label,c0\nr0,a,1\nr1,b\n")
+    (root / "non-numeric.csv").write_text("id,label,c0\nr0,a,1\nr1,b,x\n")
+    (root / "no-values.csv").write_text("id,label\nr0,a\nr1,b\n")
+    (root / "huge-cell.csv").write_text(
+        "id,label,c0,f003\nr0,a,0,0\nr1,b,1,0.5\nr2,a,2,1\nr3,b,3,1e200\n")
+    (root / "huge-column.csv").write_text("id,label,c0,f003\n" + "".join(
+        f"r{i},{'ab'[i % 2]},{i},1e308\n" for i in range(4)))
     return root
 
 
@@ -437,15 +448,19 @@ MISSING = "{bad}/nope.csv"
 EXIT_CASES = [
     ("gen-write-fails", GEN, 1, "error: injected write failure",
      (synthgen, "write_csv")),
+    ("gen-non-integer-counts", GEN + ("--counts", "1,2,oops"), 2,
+     "\nblademl gen: error: argument --counts: invalid literal for int() "
+     "with base 10: 'oops'\n"),
     ("features-bad-header", ("features", "--images", "{bad}", "--labels",
                              "{bad}/header.csv", "--out", "{csv}"), 1,
-     "error: {bad}/header.csv: expected id,label header"),
+     "error: {bad}/header.csv: header must start with id,label"),
     ("features-malformed-label-row",
      ("features", "--images", "{bad}", "--labels", "{bad}/malformed.csv",
-      "--out", "{csv}"), 1, "error: {bad}/malformed.csv: malformed row 1"),
+      "--out", "{csv}"), 1, "error: {bad}/malformed.csv: wrong column count "
+     "on data row 1 (1 cells, expected 2)"),
     ("features-no-label-rows",
      ("features", "--images", "{bad}", "--labels", "{bad}/no-rows.csv",
-      "--out", "{csv}"), 1, "error: {bad}/no-rows.csv: no labeled rows"),
+      "--out", "{csv}"), 1, "error: {bad}/no-rows.csv: no data rows"),
     ("features-write-fails", ("features", "--images", "{images}", "--labels",
                               "{images}/labels.csv", "--out", "{csv}"), 1,
      "error: injected write failure", (cli, "write_features_csv")),
@@ -474,7 +489,8 @@ EXIT_CASES = [
      "error: --mlp-hidden: hidden layer sizes must all be at least 1"),
     ("evaluate-non-integer-hidden",
      EVALUATE + ("--features", MISSING, "--mlp-hidden", "4,x"), 2,
-     "--mlp-hidden: invalid literal for int() with base 10: 'x'"),
+     "\nblademl evaluate: error: argument --mlp-hidden: invalid literal for "
+     "int() with base 10: 'x'\n"),
     ("evaluate-one-class", EVALUATE + ("--features", "{bad}/one-class.csv"),
      1, "error: {bad}/one-class.csv: evaluation needs at least 2 classes"),
     ("evaluate-write-fails", EVALUATE + ("--models", "tree,nb"), 1,
@@ -491,6 +507,32 @@ EXIT_CASES = [
      1, "error: {bad}/dup.csv: duplicate column names in header"),
     ("cluster-write-fails", CLUSTER + ("--cut-count", 3), 1,
      "error: injected write failure", (cli, "write_assignment_csv")),
+]
+
+# One reader checks labels.csv and every features file: each defect exits 1
+# with the same message, naming the file and the row or rows, in each stage.
+READ_DEFECTS = [
+    ("missing-id", "missing id on data row 2"),
+    ("dup-id", "duplicate id 'r0' on data rows 1 and 3"),
+    ("short-row", "wrong column count on data row 2 (2 cells, expected 3)"),
+    ("non-numeric", "non-numeric value on data row 2"),
+    ("no-values", "header row has no value column after id,label"),
+    ("huge-cell", "column f003: a magnitude of 2.37e+153 or more can overflow "
+     "the mean or sd of 4 rows"),
+    ("huge-column", "column f003: a magnitude of 2.37e+153 or more can "
+     "overflow the mean or sd of 4 rows"),
+]
+# A labels.csv has no value columns, so only the row defects apply to it.
+EXIT_CASES += [
+    (f"{stage}-{defect}", argv + (f"{{bad}}/{defect}.csv",), 1,
+     f"error: {{bad}}/{defect}.csv: {message}\n")
+    for stage, argv, defects in [
+        ("features", ("features", "--images", "{bad}", "--out", "{csv}",
+                      "--labels"), READ_DEFECTS[:4]),
+        ("evaluate", EVALUATE + ("--features",), READ_DEFECTS),
+        ("cluster", CLUSTER + ("--features",), READ_DEFECTS),
+    ]
+    for defect, message in defects
 ]
 
 

@@ -51,10 +51,11 @@ def test_dataset_validation():
         LabeledDataset(_matrix(["a", "b"]), ["a"])
     with pytest.raises(ValueError, match="unique"):
         LabeledDataset(_matrix(["a", "a"]), ["a", "a"])
+    unlabeled = FeatureMatrix(["r0"], None, ["c0"], np.ones((1, 1)))
     with pytest.raises(ValueError, match="label column"):
-        LabeledDataset(
-            FeatureMatrix(["r0"], None, ["c0"], np.ones((1, 1))), ["a"]
-        )
+        LabeledDataset(unlabeled, ["a"])
+    with pytest.raises(ValueError, match="label column"):
+        LabeledDataset.from_matrix(unlabeled)
 
 
 def test_subset_preserves_class_order():

@@ -1,6 +1,7 @@
 """Feature extraction, normalization, and the feature CSV format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -307,6 +308,48 @@ def test_features_csv_rejects_malformed(tmp_path):
         read_features_csv(path)
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
+        read_features_csv(path)
+    path.write_text("id,label,c0\nr0,a,1\n,b,2\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: missing id on data row 2"):
+        read_features_csv(path)
+    path.write_text("id,label,c0\nr0,a,1\nr1,b,2\nr0,a,3\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: duplicate id 'r0' on data "
+                                         r"rows 1 and 3"):
+        read_features_csv(path)
+    path.write_text("# m: x\nid,label,c0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: no data rows"):
+        read_features_csv(path)
+    path.write_text("id,label\nr0,a\nr1,\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: header row has no value "
+                                         r"column after id,label"):
+        read_features_csv(path)
+    back = read_features_csv(path, value_columns=False)
+    assert (back.ids, back.labels, back.values.shape) == (["r0", "r1"],
+                                                          ["a", ""], (2, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 100])
+def test_features_csv_magnitude_bound_keeps_statistics_finite(tmp_path, n):
+    # Just below the bound, the mean and sd of every prefix of a constant,
+    # an alternating and a one-spike column are finite; at it, the file is
+    # rejected, naming the column.
+    limit = math.sqrt(np.finfo(np.float64).max / (8 * n))
+    spike = np.arange(n) == n - 1
+    columns = np.stack([np.ones(n), (-1.0) ** np.arange(n), spike], axis=1)
+    path = tmp_path / "f.csv"
+    m = FeatureMatrix([f"r{i}" for i in range(n)], None, ["c0", "c1", "c2"],
+                      np.nextafter(limit, 0.0) * columns)
+    write_features_csv(m, path)
+    values = read_features_csv(path).values
+    with np.errstate(all="raise"):
+        for k in range(1, n + 1):
+            assert np.isfinite(values[:k].mean(axis=0)).all()
+            assert np.isfinite(values[:k].std(axis=0)).all()
+    m.values[-1, 2] = limit
+    write_features_csv(m, path)
+    with pytest.raises(ValueError, match=re.escape(
+            f"f.csv: column c2: a magnitude of {limit:.3g} or more can "
+            f"overflow the mean or sd of {n} rows")):
         read_features_csv(path)
 
 
