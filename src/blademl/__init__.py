@@ -7,6 +7,15 @@ clustering, and a seeded synthetic corpus generator.
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# numpy's OpenBLAS starts one helper thread per further CPU as it loads.
+# Every product here is small; on a 2-vCPU host that thread slowed each
+# stage by 10-30% and took the CPU that split_map's worker needs.  With one
+# BLAS thread per process the stage and its worker each keep a CPU.  The
+# bytes do not depend on it; a value set beforehand is kept.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .classifiers import (
     LogisticModel, MlpModel, NaiveBayesModel, TrainConfig, TreeModel,
     cross_entropy_loss, sigmoid, train_logistic, train_logistics, train_mlp,

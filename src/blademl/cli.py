@@ -14,6 +14,7 @@ path it created, and never deletes one that existed before it started.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import shutil
 import sys
@@ -29,13 +30,14 @@ from .clustering import (
 )
 from .dataset import load_labeled_csv, stratified_kfold, write_folds_csv
 from .evaluation import (
-    COMPARISON_METRICS, ModelSpec, compare_models, cross_validate,
-    write_comparison_csv, write_confusion_csv, write_fold_scores_csv,
-    write_predictions_csv, write_report_csv,
+    COMPARISON_METRICS, MODEL_KINDS, ModelSpec, compare_models,
+    cross_validate, write_comparison_csv, write_confusion_csv,
+    write_fold_scores_csv, write_predictions_csv, write_report_csv,
 )
 from .features import FeatureMatrix, extract_features, read_features_csv, \
     write_features_csv, FEATURE_COLUMNS
 from .fmt import metadata_lines
+from .parallel import split_map
 from .raster import load_ppm
 from .synthgen import CLASS_NAMES, GenConfig, generate_dataset
 
@@ -168,17 +170,18 @@ def cmd_gen(args) -> None:
     print(f"wrote {len(entries)} files + labels.csv to {args.out}")
 
 
+def _image_features(images, name):
+    path = os.path.join(images, name)
+    try:
+        with open(path, "rb") as handle:
+            return extract_features(load_ppm(handle.read()))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def cmd_features(args) -> None:
     table = load_labeled_csv(args.labels, value_columns=False).matrix
-    vectors = []
-    for name in table.ids:
-        path = os.path.join(args.images, name)
-        try:
-            with open(path, "rb") as handle:
-                raster = load_ppm(handle.read())
-            vectors.append(extract_features(raster))
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    vectors = list(split_map(partial(_image_features, args.images), table.ids))
     matrix = FeatureMatrix(table.ids, table.labels, list(FEATURE_COLUMNS), vectors)
     write_features_csv(
         matrix, args.out,
@@ -235,8 +238,10 @@ def cmd_evaluate(args) -> None:
     except ValueError as exc:
         raise UsageError(f"--k: {exc}") from exc
     report = cross_validate(ds, specs, folds)
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = partial(os.path.join, args.out_dir)
+    compared = COMPARISON_METRICS if len(report.model_names) >= 2 else ()
+    out = _prepare_out_dir(
+        args.out_dir, _model_files(MODEL_KINDS, COMPARISON_METRICS),
+        _model_files(report.model_names, compared))
     meta = _hyper_metadata(args)
 
     write_report_csv(report, out("report.csv"), meta)
@@ -247,17 +252,15 @@ def cmd_evaluate(args) -> None:
             report.confusions[name], out(f"confusion_{name}.csv"), meta
         )
         write_predictions_csv(report, name, out(f"predictions_{name}.csv"), meta)
-    if len(report.model_names) >= 2:
-        for metric in COMPARISON_METRICS:
-            scores = [
-                report.fold_scores[(name, metric)]
-                for name in report.model_names
-            ]
-            names, matrix = compare_models(scores)
-            write_comparison_csv(
-                names, matrix, out(f"comparison_{metric}.csv"),
-                {**meta, "metric": metric},
-            )
+    for metric in compared:
+        scores = [
+            report.fold_scores[(name, metric)] for name in report.model_names
+        ]
+        names, matrix = compare_models(scores)
+        write_comparison_csv(
+            names, matrix, out(f"comparison_{metric}.csv"),
+            {**meta, "metric": metric},
+        )
 
     print(f"evaluated {len(report.model_names)} models over k={args.k} folds")
     for name in report.model_names:
@@ -275,13 +278,21 @@ def cmd_cluster(args) -> None:
         raise UsageError("--cut-height must be nonnegative")
     matrix = read_features_csv(args.features)
     if matrix.n < 2:
-        raise UsageError("--features: clustering needs at least 2 rows")
+        raise ValueError(f"{args.features}: clustering needs at least 2 rows")
     if args.cut_count is not None and not 1 <= args.cut_count <= matrix.n:
         raise UsageError(f"--cut-count must lie in [1, {matrix.n}]")
-    distances = pairwise_distances(matrix, args.metric, args.normalize)
+    try:
+        distances = pairwise_distances(matrix, args.metric, args.normalize)
+    except ValueError as exc:
+        raise ValueError(f"{args.features}: {exc}") from exc
     dendrogram = agglomerate(distances, args.linkage, matrix.ids)
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = partial(os.path.join, args.out_dir)
+    assignment = None
+    if args.cut_count is not None or args.cut_height is not None:
+        assignment = cut_dendrogram(
+            dendrogram, count=args.cut_count, height=args.cut_height
+        )
+    out = _prepare_out_dir(args.out_dir, ["clusters.csv"],
+                           ["clusters.csv"] if assignment is not None else [])
     meta = {"metric": args.metric, "normalize": str(args.normalize).lower(),
             "linkage": args.linkage}
     write_distance_csv(distances, matrix.ids, out("distances.csv"), meta)
@@ -294,15 +305,30 @@ def cmd_cluster(args) -> None:
 
     print(f"{matrix.n} rows, {len(dendrogram.merges)} merges "
           f"({args.linkage} linkage, {args.metric} distances)")
-    if args.cut_count is not None or args.cut_height is not None:
-        assignment = cut_dendrogram(
-            dendrogram, count=args.cut_count, height=args.cut_height
-        )
+    if assignment is not None:
         write_assignment_csv(
             assignment, matrix.ids, out("clusters.csv"),
             {**meta, "clusters": assignment.count},
         )
         print(f"cut into {assignment.count} clusters -> clusters.csv")
+
+
+def _model_files(models, metrics) -> list[str]:
+    """evaluate's per-model and per-comparison artefact names."""
+    return [f"{kind}_{model}.csv" for model in models
+            for kind in ("confusion", "predictions")] + [
+        f"comparison_{metric}.csv" for metric in metrics]
+
+
+def _prepare_out_dir(out_dir, family, written):
+    """Create out_dir, remove the artefacts of `family` there that this run
+    does not write, so none is left from an earlier run, and return a
+    joiner of paths in out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name in sorted(set(family) - set(written)):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
+    return partial(os.path.join, out_dir)
 
 
 def _missing_root(path) -> str | None:

@@ -18,12 +18,14 @@ one at a time from those two parts.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import FeatureMatrix, zscore_normalize
-from .fmt import write_csv, write_float_rows
+from .fmt import float_line, write_csv, write_lines
+from .parallel import split_map
 
 METRICS = ("euclidean", "cosine")
 LINKAGES = ("single", "complete", "average", "ward")
@@ -98,7 +100,9 @@ def pairwise_distances(
 
     euclidean: sqrt(sum of squared differences).  cosine: 1 - cosine
     similarity, defined as 1 whenever either row has zero norm; tiny
-    negative rounding residues are clamped to 0.
+    negative rounding residues are clamped to 0.  A euclidean distance
+    that overflows raises ValueError naming the first such pair of data
+    rows, counted from 1.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -137,6 +141,11 @@ def pairwise_distances(
     condensed = np.empty(start[-1])
     for i in range(m.n - 1):
         condensed[start[i]:start[i + 1]] = row(i)
+    if condensed.max() == np.inf:
+        first = int(condensed.argmax())
+        i = int(np.searchsorted(start, first, side="right")) - 1
+        raise ValueError(f"{metric} distance between data rows {i + 1} and "
+                         f"{first - start[i] + i + 2} overflows")
     return DistanceMatrix(m.n, condensed, metric, normalize)
 
 
@@ -382,12 +391,18 @@ def export_dendrogram(dg: Dendrogram, fmt: str = "text") -> str:
 def write_distance_csv(
     d: DistanceMatrix, ids: list[str], path, metadata=None
 ) -> None:
-    """Full square matrix with id header row and column, one row at a time."""
+    """Full square matrix with id header row and column, one row at a time;
+    split_map's worker formats every other row."""
     if len(ids) != d.n:
         raise ValueError("ids must cover every row")
     start, above = _layout(d.n)
-    rows = (_square_row(d.condensed, start, above, i, 0.0) for i in range(d.n))
-    write_float_rows(path, ["id", *ids], ([i] for i in ids), rows, metadata)
+
+    def line(i):
+        row = _square_row(d.condensed, start, above, i, 0.0)
+        return float_line([ids[i]], row)
+
+    with closing(split_map(line, range(d.n))) as lines:
+        write_lines(path, ["id", *ids], lines, metadata)
 
 
 def write_assignment_csv(

@@ -19,6 +19,7 @@ from .classifiers import TrainConfig, cross_entropy_loss
 from .dataset import FoldAssignment, LabeledDataset
 from .features import NormalizationParams
 from .fmt import fmt17, write_csv
+from .parallel import split_map
 
 METRIC_NAMES = (
     "auc", "ca", "f1", "precision", "recall", "specificity", "mcc", "log_loss"
@@ -367,23 +368,34 @@ def cross_validate(
     predicted_labels = {}
     fold_sets = []
     held_out = []
-    # The training parts of one size are the consecutive slots of one
-    # (parts, n, p) array, z-scored in place: the one copy that every model
-    # reads and the stack that train_logistics descends on.
+    # Models train on two fold halves, in split_map's worker and here.  The
+    # training parts of one half and one size are the consecutive slots of
+    # one (parts, n, p) array, z-scored in place: the one copy that every
+    # model reads and the stack that train_logistics descends on.
+    half = folds.k // 2
     train_idx = [folds.train_indices(f) for f in range(folds.k)]
-    sizes = [idx.size for idx in train_idx]
-    slots = {n: iter(np.empty((sizes.count(n), n, ds.X.shape[1])))
-             for n in sizes}
+    keys = [(f < half, idx.size) for f, idx in enumerate(train_idx)]
+    slots = {key: iter(np.empty((keys.count(key), key[1], ds.X.shape[1])))
+             for key in keys}
     for f, idx in enumerate(train_idx):
-        slot = next(slots[idx.size])
+        slot = next(slots[keys[f]])
         fold_sets.append(ds.subset(idx, out=slot))
         params = NormalizationParams(slot.mean(axis=0), slot.std(axis=0))
         params.apply(slot, out=slot)
         held_out.append(params.apply(ds.X[folds.test_indices(f)]))
 
-    for spec in specs:
+    # A failed half names its folds from 0, so training then reruns in full.
+    try:
+        first, second = split_map(
+            lambda sets: [train_folds(spec, sets) for spec in specs],
+            [fold_sets[:half], fold_sets[half:]])
+        trained = [a + b for a, b in zip(first, second)]
+    except ValueError:
+        trained = None
+    for s, spec in enumerate(specs):
         try:
-            models = train_folds(spec, fold_sets)
+            models = (train_folds(spec, fold_sets) if trained is None
+                      else trained[s])
         except ValueError as exc:
             raise ValueError(f"model {spec.name!r}: {exc}") from exc
         probs = np.zeros((ds.n, len(classes)))

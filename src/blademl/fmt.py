@@ -33,17 +33,32 @@ def _csv_row(cells) -> str:
     return line.getvalue()[:-2] + "\n"
 
 
-def write_csv(path, header, rows, metadata: dict | None = None) -> None:
-    """Write metadata lines, the header row and the data rows to path."""
+def write_lines(path, header, lines, metadata: dict | None = None) -> None:
+    """Write metadata lines, the header row and the given data lines, each
+    ending in `\n`, to path."""
     with open(path, "w", newline="") as handle:
         handle.write(metadata_lines(metadata))
         handle.write(_csv_row(header))
-        handle.writelines(map(_csv_row, rows))
+        handle.writelines(lines)
+
+
+def write_csv(path, header, rows, metadata: dict | None = None) -> None:
+    """Write metadata lines, the header row and the data rows to path."""
+    write_lines(path, header, map(_csv_row, rows), metadata)
+
+
+def float_line(key, row) -> str:
+    """One data line: the key cells, then the reals of the 1-D array row,
+    formatted by one `%` template into fmt17's strings."""
+    template = ",".join(["%.17g"] * len(row)) + "\n"
+    # The empty last cell puts the comma before the values and keeps a lone
+    # empty key from being written as `""`; [:-1] drops the "\n".
+    return _csv_row([*key, ""])[:-1] + template % tuple(row.tolist())
 
 
 def write_float_rows(path, header, keys, rows, metadata: dict | None = None) -> None:
-    """write_csv for rows of key cells then reals: row i is keys[i] then
-    rows[i], formatted by one `%` template into fmt17's strings.
+    """write_csv for rows of key cells then reals: data line i is
+    float_line(keys[i], rows[i]).
 
     rows may be a 2-D array or any iterable of equal-length 1-D arrays; the
     first row is drawn before the file is opened, so a row without values
@@ -53,16 +68,8 @@ def write_float_rows(path, header, keys, rows, metadata: dict | None = None) -> 
     first = next(rows, None)
     if first is not None and len(first) == 0:
         raise ValueError("float rows need at least one value column")
-    with open(path, "w", newline="") as handle:
-        handle.write(metadata_lines(metadata))
-        handle.write(_csv_row(header))
-        if first is None:
-            return
-        template = ",".join(["%.17g"] * len(first)) + "\n"
-        for key, row in zip(keys, itertools.chain([first], rows)):
-            # The empty last cell puts the comma before the values and keeps a
-            # lone empty key from being written as `""`; [:-1] drops the "\n".
-            handle.write(_csv_row([*key, ""])[:-1] + template % tuple(row.tolist()))
+    rows = () if first is None else itertools.chain([first], rows)
+    write_lines(path, header, map(float_line, keys, rows), metadata)
 
 
 def iter_csv(path):

@@ -26,11 +26,14 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .fmt import write_csv
+from .parallel import split_map
 from .raster import Raster, write_ppm
 from .rng import SplitMix64, index_below
 
@@ -188,27 +191,32 @@ def generate_image(label: str, rng: SplitMix64, width: int, height: int) -> Rast
     return Raster(width, height, rgb.reshape(-1))
 
 
+def _ppm_bytes(cfg: GenConfig, job: tuple[int, str]) -> bytes:
+    index, label = job
+    child = SplitMix64(cfg.seed ^ index)
+    return write_ppm(generate_image(label, child, cfg.width, cfg.height))
+
+
 def generate_dataset(cfg: GenConfig, out_dir) -> list[tuple[str, str]]:
     """Write the corpus images plus a `labels.csv` into out_dir.
 
     Files are named `<class>_<global index>.ppm` in P6 format.  Each image
     uses an independent child generator seeded as cfg.seed XOR its global
-    index.  Returns the (file name, label) pairs in generation order.
+    index.  Every other image renders in split_map's worker; this process
+    writes them all, in order.  Returns the (file name, label) pairs in
+    generation order.
     """
     os.makedirs(out_dir, exist_ok=True)
-    total = sum(cfg.counts)
-    pad = max(3, len(str(total - 1)))
-    entries: list[tuple[str, str]] = []
-    index = 0
-    for label, count in zip(CLASS_NAMES, cfg.counts):
-        for _ in range(count):
-            child = SplitMix64(cfg.seed ^ index)
-            raster = generate_image(label, child, cfg.width, cfg.height)
-            name = f"{label}_{index:0{pad}d}.ppm"
+    labels = [label for label, count in zip(CLASS_NAMES, cfg.counts)
+              for _ in range(count)]
+    pad = max(3, len(str(len(labels) - 1)))
+    entries = [(f"{label}_{index:0{pad}d}.ppm", label)
+               for index, label in enumerate(labels)]
+    render = partial(_ppm_bytes, cfg)
+    with closing(split_map(render, enumerate(labels))) as images:
+        for (name, _), data in zip(entries, images):
             with open(os.path.join(out_dir, name), "wb") as handle:
-                handle.write(write_ppm(raster))
-            entries.append((name, label))
-            index += 1
+                handle.write(data)
     metadata = {
         "counts": ",".join(str(c) for c in cfg.counts),
         "seed": cfg.seed,

@@ -8,6 +8,7 @@ import check, which needs a fresh interpreter, spawns one.
 import csv
 import filecmp
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -173,6 +174,63 @@ def test_gen_evaluate_and_cluster_skip_numpy_ma(pipeline, tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def test_pipeline_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch,
+                                                   cpus):
+    # split_map forks only with two or more CPUs in the affinity, so the
+    # two runs take the in-process path and the forked one on any host.
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for argv in _pipeline_argvs(tmp_path):
+        assert cli.main(argv) == 0
+    assert _pipeline_digests(tmp_path) == read_pinned(GOLDEN)
+    # One split each in gen, features, evaluate and cluster.
+    assert len(forks) == (4 if len(cpus) > 1 else 0)
+
+
+def test_failing_worker_leaves_the_stage_whole(pipeline, tmp_path,
+                                               monkeypatch, capsys):
+    # The worker fails on its first image and delivers nothing; the stage
+    # renders every image itself, and no cleanup of cli.main runs in the
+    # worker to remove the fresh --out.
+    parent, render = os.getpid(), synthgen.generate_image
+
+    def generate_image(*args):
+        if os.getpid() != parent:
+            raise OSError("worker failure")
+        return render(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(synthgen, "generate_image", generate_image)
+    images = tmp_path / "new" / "images"
+    assert cli.main(_pipeline_argvs(tmp_path / "new")[0]) == 0
+    assert capsys.readouterr().err == ""
+    match, mismatch, errors = filecmp.cmpfiles(
+        pipeline / "images", images, os.listdir(pipeline / "images"),
+        shallow=False)
+    assert not mismatch and not errors
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_image_write_leaves_no_worker(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "images"
+    (out / "crack_008.ppm").mkdir(parents=True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert cli.main(_pipeline_argvs(tmp_path)[0]) == 1
+    assert "crack_008.ppm" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert (out / "crack_007.ppm").exists()
+
+
 def test_rerun_byte_identical(pipeline, tmp_path):
     for argv in _pipeline_argvs(tmp_path):
         assert cli.main(argv) == 0
@@ -193,6 +251,33 @@ def test_single_model_skips_comparisons(pipeline, tmp_path):
     assert not [n for n in names if n.startswith("comparison_")]
     rows = _read_rows(out / "report.csv")
     assert len(rows) == 2 and rows[1][0] == "nb"
+
+
+def test_rerun_removes_stale_artefacts(pipeline, tmp_path):
+    # An artefact of an earlier run into the same --out-dir that this run
+    # does not write is removed before the first write; other files stay.
+    feats = pipeline / "features.csv"
+    reports, clusters = tmp_path / "reports", tmp_path / "clusters"
+    evaluate = ("evaluate", "--features", feats, "--out-dir", reports,
+                "--k", 2, "--seed", 5, "--logreg-limit", 20, "--mlp-epochs", 2)
+    assert run(*evaluate) == 0
+    (reports / "notes.txt").write_text("kept\n")
+    assert run(*evaluate, "--models", "nb") == 0
+    assert set(os.listdir(reports)) == {
+        "report.csv", "folds.csv", "fold_scores.csv", "confusion_nb.csv",
+        "predictions_nb.csv", "notes.txt"}
+    assert run("cluster", "--features", feats, "--out-dir", clusters,
+               "--cut-count", 3) == 0
+    assert run("cluster", "--features", feats, "--out-dir", clusters) == 0
+    assert set(os.listdir(clusters)) == {
+        "distances.csv", "dendrogram.txt", "dendrogram.nwk"}
+    # A failed run removes nothing.
+    assert run(*evaluate, "--models", "nb,tree") == 0
+    assert run(*evaluate, "--models", "nb", "--mlp-l2", "nan") == 2
+    assert run(*evaluate, "--models", "nb", "--features", clusters /
+               "distances.csv") == 1
+    assert "confusion_tree.csv" in os.listdir(reports)
+    assert "comparison_auc.csv" in os.listdir(reports)
 
 
 def test_cluster_linkage_choice(pipeline, tmp_path):
@@ -432,6 +517,13 @@ def bad(tmp_path_factory):
         "id,label,c0,f003\nr0,a,0,0\nr1,b,1,0.5\nr2,a,2,1\nr3,b,3,1e200\n")
     (root / "huge-column.csv").write_text("id,label,c0,f003\n" + "".join(
         f"r{i},{'ab'[i % 2]},{i},1e308\n" for i in range(4)))
+    # 2 rows of 37 cells at +-0.99 of the reader's magnitude bound: each
+    # column's statistics are finite, the rows' euclidean distance is not.
+    cell = 0.99 * math.sqrt(sys.float_info.max / 16)
+    (root / "overflow.csv").write_text(
+        "id,label," + ",".join(f"c{j}" for j in range(37)) + "\n"
+        + "".join(f"r{i},a," + ",".join([repr(sign * cell)] * 37) + "\n"
+                  for i, sign in enumerate((1, -1))))
     return root
 
 
@@ -501,8 +593,12 @@ EXIT_CASES = [
     ("cluster-negative-height",
      CLUSTER + ("--features", MISSING, "--cut-height", -1.0), 2,
      "error: --cut-height must be nonnegative"),
-    ("cluster-one-row", CLUSTER + ("--features", "{bad}/one-row.csv"), 2,
-     "error: --features: clustering needs at least 2 rows"),
+    ("cluster-one-row", CLUSTER + ("--features", "{bad}/one-row.csv"), 1,
+     "error: {bad}/one-row.csv: clustering needs at least 2 rows\n"),
+    ("cluster-no-normalize-overflow",
+     CLUSTER + ("--features", "{bad}/overflow.csv", "--no-normalize"), 1,
+     "error: {bad}/overflow.csv: euclidean distance between data rows 1 and "
+     "2 overflows\n"),
     ("cluster-duplicate-columns", CLUSTER + ("--features", "{bad}/dup.csv"),
      1, "error: {bad}/dup.csv: duplicate column names in header"),
     ("cluster-write-fails", CLUSTER + ("--cut-count", 3), 1,

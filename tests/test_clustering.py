@@ -141,7 +141,8 @@ def test_distance_full_matrix_keeps_signed_zeros():
 def test_distance_overflow_raises_without_warning(metric):
     m = _matrix([[0.0, 1e200], [1e200, -1e200], [2.0, 3.0]])
     if metric == "euclidean":
-        with pytest.raises(ValueError, match="distances must be finite"):
+        with pytest.raises(ValueError, match="^euclidean distance between "
+                           "data rows 1 and 2 overflows$"):
             pairwise_distances(m, metric, normalize=False)
     else:
         # Cosine ignores scale, so the two huge rows give finite distances.

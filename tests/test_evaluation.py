@@ -2,11 +2,13 @@
 
 import csv
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from blademl import classifiers
 from blademl.classifiers import TrainConfig
 from blademl.dataset import FoldAssignment, LabeledDataset, stratified_kfold
 from blademl.evaluation import (
@@ -429,6 +431,27 @@ def test_cross_validate_peak_memory():
              ModelSpec("logreg", "logreg", TrainConfig(limit=20))]
     _, peak = traced_peak(lambda: cross_validate(ds, specs, folds))
     assert peak <= 2.0 * (folds.k - 1) * X.nbytes
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def test_cross_validate_names_failed_fold_of_second_half(monkeypatch, cpus):
+    # Folds 2 and 3 train as the second half, which names them 0 and 1;
+    # the error still names fold 3, as training fold by fold does.
+    ds = _blob_dataset()
+    folds = stratified_kfold(ds, 4, seed=2)
+    held_out = ds.matrix.ids[int(folds.test_indices(3)[0])]
+    fit = classifiers.train_naive_bayes
+
+    def train_naive_bayes(part):
+        if held_out not in part.matrix.ids:
+            raise ValueError("no fit")
+        return fit(part)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(classifiers, "train_naive_bayes", train_naive_bayes)
+    with pytest.raises(ValueError, match="^model 'nb': fold 3: no fit$") as e:
+        cross_validate(ds, FAST_SPECS, folds)
+    assert str(e.value.__cause__) == "fold 3: no fit"
 
 
 def test_cross_validate_validation():
