@@ -572,12 +572,6 @@ def init_mlp(
 # so each network in a stack gets exactly the bits it would get alone.
 
 
-def _stack(model: MlpModel):
-    """A one-network stack of views into `model`'s parameters."""
-    weights = [w[None] for w in model.weights]
-    return weights, [b[None, :, None] for b in model.biases]
-
-
 def _stack_forward(weights, biases, x, kind):
     """Layer inputs, hidden pre-activations and softmax outputs (row max
     subtracted for stability) of a stack for the column stack `x`."""
@@ -611,14 +605,20 @@ def _stack_gradients(weights, activations, pre_activations, delta, l2, kind):
     return grads_w, grads_b
 
 
+def _sample_forward(model: MlpModel, x):
+    """`model`'s weights as a one-network stack of views, and that stack's
+    `_stack_forward` outputs for the single sample x."""
+    weights = [w[None] for w in model.weights]
+    biases = [b[None, :, None] for b in model.biases]
+    x = np.asarray(x, dtype=np.float64)
+    return weights, *_stack_forward(weights, biases, x[None, :, None],
+                                    model.activation)
+
+
 def mlp_loss(model: MlpModel, x, class_index: int, l2: float) -> float:
     """Per-sample objective: cross-entropy of the softmax output plus
     (l2 / 2) * sum of squared weights (biases unpenalized)."""
-    weights, biases = _stack(model)
-    x = np.asarray(x, dtype=np.float64)
-    _, _, probs = _stack_forward(
-        weights, biases, x[None, :, None], model.activation
-    )
+    *_, probs = _sample_forward(model, x)
     p = probs[0, class_index, 0]
     ce = -math.log(float(np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)))
     penalty = 0.5 * l2 * sum(float((w ** 2).sum()) for w in model.weights)
@@ -632,11 +632,7 @@ def mlp_gradients(model: MlpModel, x, class_index: int, l2: float):
     deltas chain through the activation derivative; each weight gradient
     adds the l2 * W penalty term.
     """
-    weights, biases = _stack(model)
-    x = np.asarray(x, dtype=np.float64)
-    activations, pre_activations, probs = _stack_forward(
-        weights, biases, x[None, :, None], model.activation
-    )
+    weights, activations, pre_activations, probs = _sample_forward(model, x)
     delta = probs.copy()
     delta[0, class_index, 0] -= 1.0
     grads_w, grads_b = _stack_gradients(

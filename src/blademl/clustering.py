@@ -12,8 +12,8 @@ kept for library callers.  Distances live in the condensed upper triangle:
 entry (i, j), i < j, sits at start[i] + j - i - 1, row i's segment
 start[i]:start[i + 1] holds columns i + 1 .. n - 1, and column j's entries
 above the diagonal are gathered at above[:j] + j (see `_layout`).  Square
-rows for the Lance-Williams update and for `distances.csv` are assembled
-one at a time from those two parts.
+rows for the Lance-Williams update, `distances.csv` and `full` are
+assembled one at a time from those two parts.
 """
 
 from __future__ import annotations
@@ -50,25 +50,17 @@ class DistanceMatrix:
         if np.any(self.condensed < 0.0):
             raise ValueError("distances must be nonnegative")
 
-    def index(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return self.n * i - i * (i + 1) // 2 + (j - i - 1)
-
     def get(self, i: int, j: int) -> float:
         if i == j:
             return 0.0
-        return float(self.condensed[self.index(i, j)])
+        i, j = min(i, j), max(i, j)
+        return float(self.condensed[self.n * i - i * (i + 1) // 2 + j - i - 1])
 
     def full(self) -> np.ndarray:
         """The symmetric n x n matrix with a zero diagonal."""
-        out = np.zeros((self.n, self.n))
-        start, _ = _layout(self.n)
-        for i in range(self.n - 1):
-            segment = self.condensed[start[i]:start[i + 1]]
-            out[i, i + 1:] = segment
-            out[i + 1:, i] = segment
-        return out
+        start, above = _layout(self.n)
+        return np.reshape([_square_row(self.condensed, start, above, i, 0.0)
+                           for i in range(self.n)], (self.n, self.n))
 
 
 def _layout(n: int) -> tuple[np.ndarray, np.ndarray]:

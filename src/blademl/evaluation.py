@@ -156,14 +156,11 @@ def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     equals (concordant pairs + 0.5 * tied pairs) / (P * N) exactly."""
     order = np.argsort(scores, kind="mergesort")
     sorted_scores = scores[order]
+    # Each run of tied scores, first..last, shares the rank (first+last)/2+1.
+    first = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    last = np.r_[first[1:], scores.size] - 1
     ranks = np.empty(scores.size)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     p = int(positive.sum())
     n_neg = scores.size - p
     rank_sum = float(ranks[positive].sum())
@@ -316,15 +313,16 @@ class EvaluationReport:
     predicted: dict
 
 
-def _suite_from_predictions(probs, actual, cm: ConfusionMatrix) -> MetricSuite:
-    classes = cm.classes
+def _score(probs, actual, predicted, classes: list[str]):
+    """The metric suite and confusion matrix of one set of rows."""
+    cm = confusion_matrix(actual, predicted, classes)
     m = classification_metrics(cm)
     return MetricSuite(
         auc=auc(probs, actual, classes),
         ca=m.ca, f1=m.f1, precision=m.precision, recall=m.recall,
         specificity=m.specificity, mcc=m.mcc,
         log_loss=mean_log_loss(probs, actual, classes),
-    )
+    ), cm
 
 
 def cross_validate(
@@ -348,10 +346,10 @@ def cross_validate(
     if len(set(names)) != len(names):
         raise ValueError("model names must be unique")
 
-    for f in range(folds.k):
-        counts = np.bincount(
-            ds.y[folds.train_indices(f)], minlength=len(ds.class_names)
-        )
+    train_idx = [folds.train_indices(f) for f in range(folds.k)]
+    test_idx = [folds.test_indices(f) for f in range(folds.k)]
+    for f, idx in enumerate(train_idx):
+        counts = np.bincount(ds.y[idx], minlength=len(ds.class_names))
         missing = np.flatnonzero(counts == 0)
         if missing.size:
             raise ProtocolError(
@@ -373,7 +371,6 @@ def cross_validate(
     # one (parts, n, p) array, z-scored in place: the one copy that every
     # model reads and the stack that train_logistics descends on.
     half = folds.k // 2
-    train_idx = [folds.train_indices(f) for f in range(folds.k)]
     keys = [(f < half, idx.size) for f, idx in enumerate(train_idx)]
     slots = {key: iter(np.empty((keys.count(key), key[1], ds.X.shape[1])))
              for key in keys}
@@ -382,7 +379,7 @@ def cross_validate(
         fold_sets.append(ds.subset(idx, out=slot))
         params = NormalizationParams(slot.mean(axis=0), slot.std(axis=0))
         params.apply(slot, out=slot)
-        held_out.append(params.apply(ds.X[folds.test_indices(f)]))
+        held_out.append(params.apply(ds.X[test_idx[f]]))
 
     # A failed half names its folds from 0, so training then reruns in full.
     try:
@@ -400,29 +397,19 @@ def cross_validate(
             raise ValueError(f"model {spec.name!r}: {exc}") from exc
         probs = np.zeros((ds.n, len(classes)))
         for f, model in enumerate(models):
-            probs[folds.test_indices(f)] = model.predict_proba(held_out[f])
+            probs[test_idx[f]] = model.predict_proba(held_out[f])
         predicted = [classes[c] for c in probs.argmax(axis=1)]
-        cm = confusion_matrix(actual, predicted, classes)
-        suites[spec.name] = _suite_from_predictions(probs, actual, cm)
-        confusions[spec.name] = cm
+        suites[spec.name], confusions[spec.name] = _score(
+            probs, actual, predicted, classes)
         oof[spec.name] = probs
         predicted_labels[spec.name] = predicted
 
-        per_metric = {name: [] for name in METRIC_NAMES}
-        for f in range(folds.k):
-            test_idx = folds.test_indices(f)
-            fold_actual = [actual[i] for i in test_idx]
-            fold_cm = confusion_matrix(
-                fold_actual, [predicted[i] for i in test_idx], classes
-            )
-            fold_suite = _suite_from_predictions(
-                probs[test_idx], fold_actual, fold_cm
-            )
-            for name in METRIC_NAMES:
-                per_metric[name].append(getattr(fold_suite, name))
+        per_fold = [_score(probs[idx], [actual[i] for i in idx],
+                           [predicted[i] for i in idx], classes)[0]
+                    for idx in test_idx]
         for name in METRIC_NAMES:
             fold_scores[(spec.name, name)] = FoldScores(
-                spec.name, name, per_metric[name]
+                spec.name, name, [getattr(suite, name) for suite in per_fold]
             )
 
     return EvaluationReport(

@@ -83,11 +83,6 @@ def iter_csv(path):
         yield from csv.reader(lines)
 
 
-def read_csv(path) -> list[list[str]]:
-    """Every row of iter_csv(path) in one list."""
-    return list(iter_csv(path))
-
-
 def render_json(obj, indent: int = 0) -> str:
     """Serialize a nested dict/list document with 17-significant-digit reals.
 

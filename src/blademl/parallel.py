@@ -15,24 +15,23 @@ import gc
 import os
 import pickle
 import signal
-import struct
 import warnings
-
-_SIZE = struct.Struct("<Q")
 
 
 def split_map(fn, items):
     """Yield fn(item) for each item, in order.
 
     With two or more CPUs in this process's affinity and two or more
-    items, one forked child computes items 1, 3, 5, ... and pipes each
-    pickled result back as soon as it is done, while this process
-    computes the others.  If the child raises or dies, it delivers
-    nothing more and this process computes every undelivered item itself,
-    so an error is raised here, exactly as `map` raises it.  The child
-    only computes, leaves through `os._exit` (no cleanup handler or
-    `finally` of the caller runs in it), and is killed and reaped when
-    the generator finishes, fails or is closed.
+    items, one forked child computes items 1, 3, 5, ... while this process
+    computes the others.  The pipe carries a sequence of pickles, one per
+    result as soon as it is done; pickle frames its own stream, so each
+    `pickle.load` reads exactly one.  If the child raises or dies, the
+    stream ends, between two results or inside one, and this process
+    computes every undelivered item itself, so an error is raised here,
+    exactly as `map` raises it.  The child only computes, leaves through
+    `os._exit` (no cleanup handler or `finally` of the caller runs in it),
+    and is killed and reaped when the generator finishes, fails or is
+    closed.
     """
     items = list(items)
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
@@ -68,8 +67,7 @@ def split_map(fn, items):
             # Python ignores SIGPIPE: writing to a closed pipe raises.
             with open(write_fd, "wb") as pipe:
                 for item in items[1::2]:
-                    data = pickle.dumps(fn(item), pickle.HIGHEST_PROTOCOL)
-                    pipe.write(_SIZE.pack(len(data)) + data)
+                    pickle.dump(fn(item), pipe, pickle.HIGHEST_PROTOCOL)
                     pipe.flush()
         finally:
             os._exit(0)
@@ -77,21 +75,19 @@ def split_map(fn, items):
     try:
         with open(read_fd, "rb") as pipe:
             for i, item in enumerate(items):
-                frame = _read_frame(pipe) if i % 2 else None
-                yield fn(item) if frame is None else pickle.loads(frame)
+                if i % 2:
+                    try:
+                        result = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):
+                        # The child died between results or inside one.
+                        pass
+                    else:
+                        yield result
+                        continue
+                yield fn(item)
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-
-
-def _read_frame(pipe) -> bytes | None:
-    """The child's next pickled result, or None once the child is gone."""
-    head = pipe.read(_SIZE.size)
-    if len(head) == _SIZE.size:
-        data = pipe.read(_SIZE.unpack(head)[0])
-        if len(data) == _SIZE.unpack(head)[0]:
-            return data
-    return None
 
 
 def _running_cpu() -> int | None:

@@ -150,8 +150,14 @@ def test_traced_replay_writes_cli_bytes(tmp_path):
 
 def test_gen_evaluate_and_cluster_skip_numpy_ma(pipeline, tmp_path):
     # A fresh interpreter, so no other test has imported numpy.ma already.
-    gen = ["gen", "--out", str(tmp_path / "g"), "--counts", "2,2,2",
+    # Dev mode with warnings as errors also fails on a fork
+    # DeprecationWarning, and reports a pipe or file that a stage or its
+    # forked worker leaks as an ignored ResourceWarning on stderr.
+    images = tmp_path / "g"
+    gen = ["gen", "--out", str(images), "--counts", "2,2,2",
            "--width", "32", "--height", "32"]
+    features = ["features", "--images", str(images), "--labels",
+                str(images / "labels.csv"), "--out", str(tmp_path / "f.csv")]
     feats = str(pipeline / "features.csv")
     evaluate = ["evaluate", "--features", feats, "--out-dir", str(tmp_path / "r"),
                 "--k", "2", "--seed", "5", "--logreg-limit", "20",
@@ -162,6 +168,7 @@ def test_gen_evaluate_and_cluster_skip_numpy_ma(pipeline, tmp_path):
         "import sys\n"
         "from blademl import cli\n"
         f"assert cli.main({gen!r}) == 0\n"
+        f"assert cli.main({features!r}) == 0\n"
         f"assert cli.main({evaluate!r}) == 0\n"
         f"assert cli.main({cluster!r}) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
@@ -169,9 +176,11 @@ def test_gen_evaluate_and_cluster_skip_numpy_ma(pipeline, tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, check=True)
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", script],
+        capture_output=True, text=True, env=env, check=True)
     assert done.stdout.splitlines()[-1] == "False"
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])

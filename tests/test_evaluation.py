@@ -19,6 +19,7 @@ from blademl.evaluation import (
     ModelSpec,
     ProtocolError,
     RSquaredUndefinedError,
+    _rank_auc,
     auc,
     classification_metrics,
     compare_models,
@@ -167,6 +168,7 @@ def test_auc_all_ties_is_half():
 def test_auc_matches_pair_and_trapezoid_oracles():
     u = _uniforms(43, 1200)
     pos = 0
+    inputs = []
     for _ in range(30):
         n = 6 + int(u[pos] * 20)
         pos += 1
@@ -174,6 +176,12 @@ def test_auc_matches_pair_and_trapezoid_oracles():
         pos += n
         labels = ["p" if u[pos + i] > 0.4 else "n" for i in range(n)]
         pos += n
+        inputs.append((scores, labels))
+    # Long runs of ties over three scores, two of them the equal 0.0, -0.0.
+    u = _uniforms(46, 80)
+    inputs.append(([(0.0, -0.0, 1.0)[int(v * 3)] for v in u[:40]],
+                   ["p" if v > 0.5 else "n" for v in u[40:]]))
+    for scores, labels in inputs:
         if len(set(labels)) < 2:
             labels[0] = "p" if labels[0] == "n" else "n"
         probs = _binary_probs(scores)
@@ -182,6 +190,7 @@ def test_auc_matches_pair_and_trapezoid_oracles():
         ref_pairs = weighted_auc_ref(probs.tolist(), labels, ["p", "n"])
         assert got == pytest.approx(ref_pairs, abs=1e-12)
         one = auc_pairs_ref(scores, flags)
+        assert _rank_auc(np.array(scores), np.array(flags)) == one
         trap = auc_trapezoid_ref(scores, flags)
         assert one == pytest.approx(trap, abs=1e-12)
 

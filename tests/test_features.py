@@ -17,7 +17,7 @@ from blademl.features import (
     write_features_csv,
     zscore_normalize,
 )
-from blademl.fmt import read_csv, render_json, write_csv, write_float_rows
+from blademl.fmt import iter_csv, render_json, write_csv, write_float_rows
 from blademl.raster import Raster
 from blademl.rng import SplitMix64
 from blademl.synthgen import CLASS_NAMES, generate_image
@@ -370,7 +370,7 @@ def test_csv_writers_round_trip_carriage_return(tmp_path):
     # unquoted `\r` inside a cell ends the row when the file is read back.
     ids = ["x\ry", "b"]
     write_csv(tmp_path / "plain.csv", ["id", "n"], [[ids[0], 1], [ids[1], 2]])
-    assert read_csv(tmp_path / "plain.csv") == [
+    assert list(iter_csv(tmp_path / "plain.csv")) == [
         ["id", "n"], ["x\ry", "1"], ["b", "2"],
     ]
     m = FeatureMatrix(ids, ["p\r", "q"], ["c0"], np.array([[1.0], [2.0]]))
@@ -379,7 +379,7 @@ def test_csv_writers_round_trip_carriage_return(tmp_path):
     assert (back.ids, back.labels) == (m.ids, m.labels)
     assert np.array_equal(back.values, m.values)
     write_distance_csv(pairwise_distances(m), ids, tmp_path / "distances.csv")
-    rows = read_csv(tmp_path / "distances.csv")
+    rows = list(iter_csv(tmp_path / "distances.csv"))
     assert rows[0] == ["id", *ids]
     assert [row[0] for row in rows[1:]] == ids
     assert all(len(row) == 3 for row in rows)

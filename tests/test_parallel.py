@@ -88,6 +88,52 @@ def test_killed_child_leaves_every_result(two_cpus):
     _assert_no_child()
 
 
+class _ExitOnPickle:
+    """Ends the process that pickles it; equal to any other instance."""
+
+    def __reduce__(self):
+        os._exit(0)
+
+    def __eq__(self, other):
+        return isinstance(other, _ExitOnPickle)
+
+
+def _dies_mid_result(x):
+    # The bytes go down the pipe before the child reaches the object, so
+    # the stream ends inside this result, after the parent has read them.
+    return [bytes(300_000), _ExitOnPickle()] if x == 5 else _square(x)
+
+
+def test_child_dying_inside_a_result_leaves_every_result(two_cpus):
+    assert list(split_map(_dies_mid_result, range(8))) == \
+        list(map(_dies_mid_result, range(8)))
+    _assert_no_child()
+
+
+def test_child_killed_inside_a_write_leaves_every_result(two_cpus, tmp_path):
+    # The child's result fills the pipe while this process is still on item
+    # 0, which then kills the child inside its write: the stream ends in
+    # the middle of a pickled bytes payload.
+    marker = tmp_path / "child"
+
+    def fn(x):
+        if x == 1:
+            (tmp_path / "pid").write_text(str(os.getpid()))
+            os.replace(tmp_path / "pid", marker)
+            return bytes(1_000_000)
+        if x == 0:
+            for _ in range(1000):
+                if marker.exists():
+                    time.sleep(0.2)
+                    os.kill(int(marker.read_text()), signal.SIGKILL)
+                    break
+                time.sleep(0.01)
+        return x
+
+    assert list(split_map(fn, range(4))) == [0, bytes(1_000_000), 2, 3]
+    _assert_no_child()
+
+
 def test_closing_early_leaves_no_child(two_cpus):
     results = split_map(_square, range(100))
     assert next(results) == (0, 0)
