@@ -645,7 +645,8 @@ def cross_entropy_loss(predicted, actual: str, class_names: list[str]) -> float:
     """-log of the probability assigned to the actual class, clipped to
     [1e-15, 1 - 1e-15]."""
     p = np.asarray(predicted, dtype=np.float64)
-    if abs(float(p.sum()) - 1.0) > 1e-9:
+    # Written as `not <=`, so a NaN row fails the check too.
+    if not abs(float(p.sum()) - 1.0) <= 1e-9:
         raise ValueError("predicted probabilities must sum to 1")
     if actual not in class_names:
         raise ValueError(f"unknown label {actual!r}")

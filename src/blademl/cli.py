@@ -180,6 +180,8 @@ def _image_features(images, name):
 
 
 def cmd_features(args) -> None:
+    # Before any image is read, so a bad --out fails first.
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     table = load_labeled_csv(args.labels, value_columns=False).matrix
     vectors = list(split_map(partial(_image_features, args.images), table.ids))
     matrix = FeatureMatrix(table.ids, table.labels, list(FEATURE_COLUMNS), vectors)

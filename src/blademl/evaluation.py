@@ -188,7 +188,8 @@ def auc(scores, actual, classes: list[str]) -> float:
     if no class is valid the AUC is undefined and an error is raised.
     """
     scores = _score_table(scores, actual, classes)
-    if np.any(np.abs(scores.sum(axis=1) - 1.0) > 1e-9):
+    # Written as `not <=`, so a NaN row fails the check too.
+    if not np.all(np.abs(scores.sum(axis=1) - 1.0) <= 1e-9):
         raise ValueError("every probability row must sum to 1")
     index = {name: i for i, name in enumerate(classes)}
     unknown = [a for a in actual if a not in index]
@@ -357,6 +358,45 @@ def cross_validate(
                 f"{ds.class_names[missing[0]]!r}"
             )
 
+    def fold_probabilities(fold_range):
+        """Per model, the held-out probability table of each fold in
+        fold_range.  The training parts of one size are the consecutive
+        slots of one (parts, n, p) array, z-scored in place: the one copy
+        that every model reads and the stack that train_logistics descends
+        on.  Each model trains on every part and then predicts."""
+        sizes = [train_idx[f].size for f in fold_range]
+        blocks = {size: iter(np.empty((sizes.count(size), size, ds.X.shape[1])))
+                  for size in set(sizes)}
+        parts = []
+        held_out = []
+        for f in fold_range:
+            slot = next(blocks[train_idx[f].size])
+            parts.append(ds.subset(train_idx[f], out=slot))
+            params = NormalizationParams(slot.mean(axis=0), slot.std(axis=0))
+            params.apply(slot, out=slot)
+            rows = ds.X[test_idx[f]]
+            held_out.append(params.apply(rows, out=rows))
+        tables = []
+        for spec in specs:
+            try:
+                models = train_folds(spec, parts)
+            except ValueError as exc:
+                raise ValueError(f"model {spec.name!r}: {exc}") from exc
+            tables.append([model.predict_proba(rows)
+                           for model, rows in zip(models, held_out)])
+        return tables
+
+    # The two fold halves run in split_map's worker and here, so neither
+    # process holds the other's training parts.  A failed half names its
+    # folds from 0, so the folds then rerun here in full.
+    half = folds.k // 2
+    try:
+        first, second = split_map(
+            fold_probabilities, [range(half), range(half, folds.k)])
+        tables = [a + b for a, b in zip(first, second)]
+    except ValueError:
+        tables = fold_probabilities(range(folds.k))
+
     classes = list(ds.class_names)
     actual = list(ds.matrix.labels)
     suites = {}
@@ -364,40 +404,10 @@ def cross_validate(
     fold_scores = {}
     oof = {}
     predicted_labels = {}
-    fold_sets = []
-    held_out = []
-    # Models train on two fold halves, in split_map's worker and here.  The
-    # training parts of one half and one size are the consecutive slots of
-    # one (parts, n, p) array, z-scored in place: the one copy that every
-    # model reads and the stack that train_logistics descends on.
-    half = folds.k // 2
-    keys = [(f < half, idx.size) for f, idx in enumerate(train_idx)]
-    slots = {key: iter(np.empty((keys.count(key), key[1], ds.X.shape[1])))
-             for key in keys}
-    for f, idx in enumerate(train_idx):
-        slot = next(slots[keys[f]])
-        fold_sets.append(ds.subset(idx, out=slot))
-        params = NormalizationParams(slot.mean(axis=0), slot.std(axis=0))
-        params.apply(slot, out=slot)
-        held_out.append(params.apply(ds.X[test_idx[f]]))
-
-    # A failed half names its folds from 0, so training then reruns in full.
-    try:
-        first, second = split_map(
-            lambda sets: [train_folds(spec, sets) for spec in specs],
-            [fold_sets[:half], fold_sets[half:]])
-        trained = [a + b for a, b in zip(first, second)]
-    except ValueError:
-        trained = None
-    for s, spec in enumerate(specs):
-        try:
-            models = (train_folds(spec, fold_sets) if trained is None
-                      else trained[s])
-        except ValueError as exc:
-            raise ValueError(f"model {spec.name!r}: {exc}") from exc
+    for spec, fold_tables in zip(specs, tables):
         probs = np.zeros((ds.n, len(classes)))
-        for f, model in enumerate(models):
-            probs[test_idx[f]] = model.predict_proba(held_out[f])
+        for idx, table in zip(test_idx, fold_tables):
+            probs[idx] = table
         predicted = [classes[c] for c in probs.argmax(axis=1)]
         suites[spec.name], confusions[spec.name] = _score(
             probs, actual, predicted, classes)

@@ -20,7 +20,9 @@ import pytest
 from blademl import __version__
 from blademl import cli, synthgen
 from blademl.features import read_features_csv
-from digests import artefact_digests, read_pinned
+from digests import (
+    artefact_digests, normalized_features, read_pinned, sha256,
+)
 
 # sha256 of every artefact of the `pipeline` fixture run.
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.sha256"
@@ -351,6 +353,32 @@ def test_features_missing_image_exit_1(pipeline, tmp_path, capsys):
                "--out", tmp_path / "f.csv") == 1
     assert "ghost.ppm" in capsys.readouterr().err
     assert not (tmp_path / "f.csv").exists()
+
+
+def test_features_creates_missing_out_directories(pipeline, tmp_path,
+                                                   monkeypatch, capsys):
+    images = pipeline / "images"
+    out = tmp_path / "new" / "deeper" / "features.csv"
+    assert run("features", "--images", images, "--labels",
+               images / "labels.csv", "--out", out) == 0
+    assert sha256(normalized_features(out.read_bytes())) == \
+        read_pinned(GOLDEN)["features.csv"]
+    # The directories exist before the first image is read, and a failed
+    # run removes them.
+    failed = tmp_path / "failed" / "deeper" / "features.csv"
+    seen = []
+
+    def image_features(folder, name):
+        seen.append(failed.parent.is_dir())
+        raise ValueError("no image")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli, "_image_features", image_features)
+    assert run("features", "--images", images, "--labels",
+               images / "labels.csv", "--out", failed) == 1
+    assert seen == [True]
+    assert "error: no image" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["new"]
 
 
 def test_features_rejects_repeated_image(pipeline, tmp_path, capsys):
