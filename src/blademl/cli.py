@@ -15,31 +15,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import shutil
 import sys
 from functools import partial
 
 from . import __version__
-from .classifiers import (
-    ACTIVATIONS, LOGISTIC_DEFAULTS, MLP_DEFAULTS, TREE_DEFAULTS, TrainConfig,
-)
-from .clustering import (
-    LINKAGES, METRICS, agglomerate, cut_dendrogram, export_dendrogram,
-    pairwise_distances, write_assignment_csv, write_distance_csv,
-)
-from .dataset import load_labeled_csv, stratified_kfold, write_folds_csv
-from .evaluation import (
-    COMPARISON_METRICS, MODEL_KINDS, ModelSpec, compare_models,
-    cross_validate, write_comparison_csv, write_confusion_csv,
-    write_fold_scores_csv, write_predictions_csv, write_report_csv,
-)
-from .features import FeatureMatrix, extract_features, read_features_csv, \
-    write_features_csv, FEATURE_COLUMNS
-from .fmt import metadata_lines
-from .parallel import split_map
-from .raster import load_ppm
-from .synthgen import CLASS_NAMES, GenConfig, generate_dataset
+
+# Each stage imports the package modules it runs inside its own cmd_* and
+# flag builder, so a stage process loads no module of another stage.
 
 
 class UsageError(ValueError):
@@ -68,28 +53,44 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-# evaluate's hyperparameters.  Per model: its classifiers defaults and, per
-# `--<model>-<key>` flag, (TrainConfig field, type, help).  The `# <model>:`
-# metadata line lists `<key>=<value>` in this order.
+# evaluate's hyperparameters.  Per model and `--<model>-<key>` flag:
+# (TrainConfig field, type, help); the flag's default is the classifiers
+# default of its field.  The `# <model>:` metadata line lists
+# `<key>=<value>` in this order.
 MODEL_FLAGS = {
-    "logreg": (LOGISTIC_DEFAULTS, {
+    "logreg": {
         "rate": ("learning_rate", float, "logistic learning rate"),
         "limit": ("limit", int, "logistic iteration limit"),
         "tolerance": ("tolerance", float, "logistic gradient stop tolerance"),
         "l2": ("l2", float, "logistic L2 strength"),
-    }),
-    "tree": (TREE_DEFAULTS, {
+    },
+    "tree": {
         "max_depth": ("max_depth", int, "tree depth cap"),
         "min_leaf": ("min_leaf", int, "minimum samples per leaf"),
-    }),
-    "mlp": (MLP_DEFAULTS, {
+    },
+    "mlp": {
         "rate": ("learning_rate", float, "MLP learning rate"),
         "epochs": ("limit", int, "MLP epoch count"),
         "l2": ("l2", float, "MLP L2 strength"),
         "hidden": ("hidden", _parse_hidden, "comma list of hidden layer sizes"),
         "activation": ("activation", str, "hidden activation"),
-    }),
+    },
 }
+
+
+class _StageParser(argparse.ArgumentParser):
+    """One stage's parser.  `add_flags(parser)` adds its flags as it first
+    parses, so only the stage that runs imports what its flags need."""
+
+    def __init__(self, *args, add_flags=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_flags = add_flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_flags is not None:
+            add_flags, self._add_flags = self._add_flags, None
+            add_flags(self)
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,18 +99,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic blade-image fault detection pipeline",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def stage(name, run, text):
-        stage_parser = sub.add_parser(
-            name, help=text,
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_StageParser)
+    for name, run, add_flags, text in (
+        ("gen", cmd_gen, _gen_flags,
+         "generate a seeded synthetic blade-image corpus"),
+        ("features", cmd_features, _features_flags,
+         "extract feature vectors from a labeled image set"),
+        ("evaluate", cmd_evaluate, _evaluate_flags,
+         "cross-validate classifiers over a features CSV"),
+        ("cluster", cmd_cluster, _cluster_flags,
+         "hierarchical clustering over a features CSV"),
+    ):
+        sub.add_parser(
+            name, help=text, add_flags=add_flags,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-        )
-        stage_parser.set_defaults(run=run)
-        return stage_parser
+        ).set_defaults(run=run)
+    return parser
 
-    gen = stage("gen", cmd_gen,
-                "generate a seeded synthetic blade-image corpus")
+
+def _gen_flags(gen) -> None:
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument(
         "--counts", type=_parse_counts, default=(34, 33, 33),
@@ -119,14 +128,20 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--width", type=int, default=128, help="image width")
     gen.add_argument("--height", type=int, default=128, help="image height")
 
-    feats = stage("features", cmd_features,
-                  "extract feature vectors from a labeled image set")
+
+def _features_flags(feats) -> None:
     feats.add_argument("--images", required=True, help="image directory")
     feats.add_argument("--labels", required=True, help="id,label CSV")
     feats.add_argument("--out", required=True, help="output features CSV")
 
-    ev = stage("evaluate", cmd_evaluate,
-               "cross-validate classifiers over a features CSV")
+
+def _evaluate_flags(ev) -> None:
+    from .classifiers import (
+        ACTIVATIONS, LOGISTIC_DEFAULTS, MLP_DEFAULTS, TREE_DEFAULTS,
+    )
+
+    defaults = {"logreg": LOGISTIC_DEFAULTS, "tree": TREE_DEFAULTS,
+                "mlp": MLP_DEFAULTS}
     ev.add_argument("--features", required=True, help="labeled features CSV")
     ev.add_argument("--out-dir", required=True, help="report directory")
     ev.add_argument("--k", type=int, default=10, help="fold count")
@@ -134,16 +149,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seed for fold shuffling and network init")
     ev.add_argument("--models", default="tree,nb,logreg,mlp",
                     help="comma list from tree,nb,logreg,mlp")
-    for model, (defaults, flags) in MODEL_FLAGS.items():
+    for model, flags in MODEL_FLAGS.items():
         for key, (field, kind, text) in flags.items():
             ev.add_argument(
                 f"--{model}-{key.replace('_', '-')}", type=kind,
-                default=defaults[field], help=text,
+                default=defaults[model][field], help=text,
                 choices=ACTIVATIONS if field == "activation" else None,
             )
 
-    cl = stage("cluster", cmd_cluster,
-               "hierarchical clustering over a features CSV")
+
+def _cluster_flags(cl) -> None:
+    from .clustering import LINKAGES, METRICS
+
     cl.add_argument("--features", required=True, help="features CSV")
     cl.add_argument("--out-dir", required=True, help="output directory")
     cl.add_argument("--metric", choices=METRICS, default="euclidean",
@@ -156,14 +173,29 @@ def build_parser() -> argparse.ArgumentParser:
                     help="flatten to this many clusters")
     cl.add_argument("--cut-height", type=float, default=None,
                     help="flatten at this merge height")
-    return parser
+
+
+def _make_out_dir(flag, directory, file=None) -> None:
+    """Create the output `directory` and check that the output `file` in
+    it is no directory, before any input is read, so that a bad path fails
+    at once and the error names its flag."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+        if file is not None and os.path.isdir(file):
+            raise IsADirectoryError(
+                errno.EISDIR, os.strerror(errno.EISDIR), file)
+    except OSError as exc:
+        raise OSError(f"{flag}: {exc}") from exc
 
 
 def cmd_gen(args) -> None:
+    from .synthgen import CLASS_NAMES, GenConfig, generate_dataset
+
     try:
         cfg = GenConfig(args.counts, args.seed, args.width, args.height)
     except ValueError as exc:
         raise UsageError(f"--counts/--width/--height: {exc}") from exc
+    _make_out_dir("--out", args.out)
     entries = generate_dataset(cfg, args.out)
     for name, count in zip(CLASS_NAMES, cfg.counts):
         print(f"{name}: {count} images")
@@ -171,6 +203,9 @@ def cmd_gen(args) -> None:
 
 
 def _image_features(images, name):
+    from .features import extract_features
+    from .raster import load_ppm
+
     path = os.path.join(images, name)
     try:
         with open(path, "rb") as handle:
@@ -180,8 +215,14 @@ def _image_features(images, name):
 
 
 def cmd_features(args) -> None:
-    # Before any image is read, so a bad --out fails first.
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    # _image_features decodes with raster: load it once, before the fork.
+    from . import raster  # noqa: F401
+    from .dataset import load_labeled_csv
+    from .features import FEATURE_COLUMNS, FeatureMatrix, write_features_csv
+    from .parallel import split_map
+
+    out = os.path.abspath(args.out)
+    _make_out_dir("--out", os.path.dirname(out), out)
     table = load_labeled_csv(args.labels, value_columns=False).matrix
     vectors = list(split_map(partial(_image_features, args.images), table.ids))
     matrix = FeatureMatrix(table.ids, table.labels, list(FEATURE_COLUMNS), vectors)
@@ -192,11 +233,14 @@ def cmd_features(args) -> None:
     print(f"wrote {matrix.n} rows x {matrix.width} features to {args.out}")
 
 
-def _model_specs(args) -> list[ModelSpec]:
-    """One spec per `--models` entry; every model flag is checked, each on
-    its own so the error names it."""
+def _model_specs(args) -> list:
+    """One ModelSpec per `--models` entry; every model flag is checked, each
+    on its own so the error names it."""
+    from .classifiers import TrainConfig
+    from .evaluation import ModelSpec
+
     configs = {"nb": None}
-    for model, (_, flags) in MODEL_FLAGS.items():
+    for model, flags in MODEL_FLAGS.items():
         values = {}
         for key, (field, _, _) in flags.items():
             values[field] = getattr(args, f"{model}_{key}")
@@ -219,7 +263,7 @@ def _model_specs(args) -> list[ModelSpec]:
 
 def _hyper_metadata(args) -> dict:
     meta = {"k": args.k, "seed": args.seed, "models": args.models}
-    for model, (_, flags) in MODEL_FLAGS.items():
+    for model, flags in MODEL_FLAGS.items():
         values = [getattr(args, f"{model}_{key}") for key in flags]
         meta[model] = " ".join(
             f"{key}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
@@ -229,9 +273,17 @@ def _hyper_metadata(args) -> dict:
 
 
 def cmd_evaluate(args) -> None:
+    from .dataset import load_labeled_csv, stratified_kfold, write_folds_csv
+    from .evaluation import (
+        COMPARISON_METRICS, MODEL_KINDS, compare_models, cross_validate,
+        write_comparison_csv, write_confusion_csv, write_fold_scores_csv,
+        write_predictions_csv, write_report_csv,
+    )
+
     specs = _model_specs(args)
     if args.k < 2:
         raise UsageError("--k: fold count must be at least 2")
+    _make_out_dir("--out-dir", args.out_dir)
     ds = load_labeled_csv(args.features)
     if len(ds.class_names) < 2:
         raise ValueError(f"{args.features}: evaluation needs at least 2 classes")
@@ -274,10 +326,18 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_cluster(args) -> None:
+    from .clustering import (
+        agglomerate, cut_dendrogram, export_dendrogram, pairwise_distances,
+        write_assignment_csv, write_distance_csv,
+    )
+    from .features import read_features_csv
+    from .fmt import metadata_lines
+
     if args.cut_count is not None and args.cut_height is not None:
         raise UsageError("give only one of --cut-count/--cut-height")
     if args.cut_height is not None and not args.cut_height >= 0.0:
         raise UsageError("--cut-height must be nonnegative")
+    _make_out_dir("--out-dir", args.out_dir)
     matrix = read_features_csv(args.features)
     if matrix.n < 2:
         raise ValueError(f"{args.features}: clustering needs at least 2 rows")
@@ -323,10 +383,9 @@ def _model_files(models, metrics) -> list[str]:
 
 
 def _prepare_out_dir(out_dir, family, written):
-    """Create out_dir, remove the artefacts of `family` there that this run
-    does not write, so none is left from an earlier run, and return a
-    joiner of paths in out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Remove the artefacts of `family` in out_dir that this run does not
+    write, so none is left from an earlier run, and return a joiner of
+    paths in out_dir."""
     for name in sorted(set(family) - set(written)):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, name))

@@ -25,11 +25,14 @@ Every other sum is of integers, exact in any order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fmt import iter_csv, write_float_rows
-from .raster import Raster, luma
+
+if TYPE_CHECKING:
+    from .raster import Raster
 
 FEATURE_COUNT = 37
 FEATURE_COLUMNS = [f"f{i:03d}" for i in range(FEATURE_COUNT)]
@@ -47,6 +50,10 @@ def extract_features(r: Raster) -> np.ndarray:
     output.  Images smaller than 3x3 are rejected because the Sobel interior
     would be empty.
     """
+    # Here, not at the top: the stages that read features files never
+    # decode an image, so they never load raster.
+    from .raster import luma
+
     if r.width < 3 or r.height < 3:
         raise ValueError("image smaller than 3x3 has no gradient interior")
 

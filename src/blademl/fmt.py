@@ -7,7 +7,6 @@ then a header row, then data rows, all with `\n` line ends.
 import csv
 import io
 import itertools
-import json
 import math
 
 
@@ -87,8 +86,11 @@ def render_json(obj, indent: int = 0) -> str:
     """Serialize a nested dict/list document with 17-significant-digit reals.
 
     The stock json module offers no control over float formatting, so this
-    renders the (small, fixed-schema) model documents directly.
+    renders the (small, fixed-schema) model documents directly.  json is
+    imported here, as no CLI stage writes a model document.
     """
+    import json
+
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:

@@ -2,7 +2,7 @@
 
 Everything runs in process through cli.main(argv) so exit codes and
 stdout/stderr are observable without spawning subprocesses; only the
-import check, which needs a fresh interpreter, spawns one.
+import checks, which need a fresh interpreter, spawn one.
 """
 
 import csv
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from blademl import __version__
-from blademl import cli, synthgen
+from blademl import cli, clustering, evaluation, features, synthgen
 from blademl.features import read_features_csv
 from digests import (
     artefact_digests, normalized_features, read_pinned, sha256,
@@ -183,6 +183,50 @@ def test_gen_evaluate_and_cluster_skip_numpy_ma(pipeline, tmp_path):
         capture_output=True, text=True, env=env, check=True)
     assert done.stdout.splitlines()[-1] == "False"
     assert done.stderr == ""
+
+
+# The blademl modules each stage process loads: none of another stage's.
+STAGE_MODULES = {
+    "gen": {"cli", "fmt", "parallel", "raster", "rng", "synthgen"},
+    "features": {"cli", "dataset", "features", "fmt", "parallel", "raster",
+                 "rng"},
+    "evaluate": {"classifiers", "cli", "dataset", "evaluation", "features",
+                 "fmt", "parallel", "rng"},
+    "cluster": {"cli", "clustering", "features", "fmt", "parallel"},
+}
+
+
+@pytest.mark.parametrize("stage", STAGE_MODULES)
+def test_stage_loads_only_its_modules(pipeline, tmp_path, stage):
+    # `python -m blademl <stage>` in a fresh interpreter that prints the
+    # modules it holds as it exits.  The forked worker imports nothing the
+    # stage process does not: it computes the same function.
+    feats = pipeline / "features.csv"
+    argv = {
+        "gen": ["--out", tmp_path / "g", "--counts", "2,2,2", "--width", 16,
+                "--height", 16],
+        "features": ["--images", pipeline / "images", "--labels",
+                     pipeline / "images" / "labels.csv",
+                     "--out", tmp_path / "f.csv"],
+        "evaluate": ["--features", feats, "--out-dir", tmp_path / "r",
+                     "--k", 2, "--logreg-limit", 20, "--mlp-epochs", 2],
+        "cluster": ["--features", feats, "--out-dir", tmp_path / "c",
+                    "--cut-count", 3],
+    }[stage]
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(lambda: print(*sorted(sys.modules)))\n"
+              "runpy.run_module('blademl', run_name='__main__',"
+              " alter_sys=True)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, stage, *map(str, argv)],
+        capture_output=True, text=True, env=env, check=True)
+    loaded = done.stdout.splitlines()[-1].split()
+    assert {name.split(".", 1)[1] for name in loaded
+            if name.startswith("blademl.")} == STAGE_MODULES[stage]
+    assert "json" not in loaded
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
@@ -572,11 +616,14 @@ CLUSTER = ("cluster", "--features", "{feats}", "--out-dir", "{out}")
 MISSING = "{bad}/nope.csv"
 
 # (id, argv, exit code, message, (module, writer) made to fail).
-# A flag given twice takes its last value.  The flag errors given MISSING
-# as input show that the flag is checked before the input is read.
+# A flag given twice takes its last value.  The flag errors, and the bad
+# output paths, given MISSING as input show that the flag is checked before
+# the input is read.
 EXIT_CASES = [
     ("gen-write-fails", GEN, 1, "error: injected write failure",
      (synthgen, "write_csv")),
+    ("gen-out-is-a-file", GEN + ("--out", "{bad}/header.csv"), 1,
+     "error: --out: [Errno 17] File exists: '{bad}/header.csv'\n"),
     ("gen-non-integer-counts", GEN + ("--counts", "1,2,oops"), 2,
      "\nblademl gen: error: argument --counts: invalid literal for int() "
      "with base 10: 'oops'\n"),
@@ -590,9 +637,12 @@ EXIT_CASES = [
     ("features-no-label-rows",
      ("features", "--images", "{bad}", "--labels", "{bad}/no-rows.csv",
       "--out", "{csv}"), 1, "error: {bad}/no-rows.csv: no data rows"),
+    ("features-out-is-a-directory",
+     ("features", "--images", "{bad}", "--labels", MISSING, "--out", "{bad}"),
+     1, "error: --out: [Errno 21] Is a directory: '{bad}'\n"),
     ("features-write-fails", ("features", "--images", "{images}", "--labels",
                               "{images}/labels.csv", "--out", "{csv}"), 1,
-     "error: injected write failure", (cli, "write_features_csv")),
+     "error: injected write failure", (features, "write_features_csv")),
     ("evaluate-no-models", EVALUATE + ("--features", MISSING, "--models", ","),
      2, "error: --models must name at least one model"),
     ("evaluate-repeated-model", EVALUATE + ("--models", "tree,tree"), 2,
@@ -620,16 +670,22 @@ EXIT_CASES = [
      EVALUATE + ("--features", MISSING, "--mlp-hidden", "4,x"), 2,
      "\nblademl evaluate: error: argument --mlp-hidden: invalid literal for "
      "int() with base 10: 'x'\n"),
+    ("evaluate-out-dir-is-a-file",
+     EVALUATE + ("--features", MISSING, "--out-dir", "{bad}/header.csv"), 1,
+     "error: --out-dir: [Errno 17] File exists: '{bad}/header.csv'\n"),
     ("evaluate-one-class", EVALUATE + ("--features", "{bad}/one-class.csv"),
      1, "error: {bad}/one-class.csv: evaluation needs at least 2 classes"),
     ("evaluate-write-fails", EVALUATE + ("--models", "tree,nb"), 1,
-     "error: injected write failure", (cli, "write_fold_scores_csv")),
+     "error: injected write failure", (evaluation, "write_fold_scores_csv")),
     ("cluster-both-cuts",
      CLUSTER + ("--features", MISSING, "--cut-count", 2, "--cut-height", 1.0),
      2, "error: give only one of --cut-count/--cut-height"),
     ("cluster-negative-height",
      CLUSTER + ("--features", MISSING, "--cut-height", -1.0), 2,
      "error: --cut-height must be nonnegative"),
+    ("cluster-out-dir-is-a-file",
+     CLUSTER + ("--features", MISSING, "--out-dir", "{bad}/header.csv"), 1,
+     "error: --out-dir: [Errno 17] File exists: '{bad}/header.csv'\n"),
     ("cluster-one-row", CLUSTER + ("--features", "{bad}/one-row.csv"), 1,
      "error: {bad}/one-row.csv: clustering needs at least 2 rows\n"),
     ("cluster-no-normalize-overflow",
@@ -639,7 +695,7 @@ EXIT_CASES = [
     ("cluster-duplicate-columns", CLUSTER + ("--features", "{bad}/dup.csv"),
      1, "error: {bad}/dup.csv: duplicate column names in header"),
     ("cluster-write-fails", CLUSTER + ("--cut-count", 3), 1,
-     "error: injected write failure", (cli, "write_assignment_csv")),
+     "error: injected write failure", (clustering, "write_assignment_csv")),
 ]
 
 # One reader checks labels.csv and every features file: each defect exits 1
@@ -695,8 +751,8 @@ def test_failed_stage_keeps_existing_output(pipeline, tmp_path, monkeypatch,
     out = tmp_path / "reports"
     out.mkdir()
     (out / "notes.txt").write_text("kept\n")
-    monkeypatch.setattr(cli, "write_fold_scores_csv",
-                        _fails_after(cli.write_fold_scores_csv))
+    monkeypatch.setattr(evaluation, "write_fold_scores_csv",
+                        _fails_after(evaluation.write_fold_scores_csv))
     assert run("evaluate", "--features", pipeline / "features.csv",
                "--out-dir", out, "--k", 2, "--models", "nb") == 1
     assert (out / "notes.txt").read_text() == "kept\n"
@@ -716,7 +772,7 @@ def test_interrupted_stage_removes_fresh_output(pipeline, tmp_path,
                                                 monkeypatch):
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt
-    monkeypatch.setattr(cli, "write_distance_csv", interrupt)
+    monkeypatch.setattr(clustering, "write_distance_csv", interrupt)
     with pytest.raises(KeyboardInterrupt):
         run("cluster", "--features", pipeline / "features.csv",
             "--out-dir", tmp_path / "new" / "out")

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -268,6 +269,33 @@ def test_mean_log_loss_hand_case():
     assert got == pytest.approx(
         log_loss_ref(probs.tolist(), actual, ["a", "b"]), abs=1e-15
     )
+
+
+def test_mean_log_loss_matches_the_row_helper_bit_for_bit():
+    # mean_log_loss checks the table once; its value is the mean of
+    # cross_entropy_loss over the rows, to the last bit, clipped rows too.
+    rng = np.random.default_rng(20)
+    for n, c in [(1, 2), (9, 3), (60, 4), (300, 7)]:
+        scores = rng.random((n, c)) ** 4
+        scores /= scores.sum(axis=1, keepdims=True)
+        scores[rng.random(n) < 0.2] = np.eye(c)[0]
+        classes = [f"c{j}" for j in range(c)]
+        actual = [classes[j] for j in rng.integers(0, c, n)]
+        want = float(np.mean(_row_losses(scores, actual, classes)))
+        assert mean_log_loss(scores, actual, classes) == want
+
+
+@pytest.mark.parametrize("rows,actual", [
+    ([[0.5, 0.5], [0.5, 0.4], [0.5, 0.5]], ["a", "a", "z"]),
+    ([[0.5, 0.5], [0.5, 0.4], [0.5, 0.5]], ["a", "z", "a"]),
+    ([[0.5, 0.5], [0.5, 0.5], [0.5, 0.4]], ["a", "z", "a"]),
+    ([[0.5, 0.5], [math.nan, 0.5]], ["a", "b"]),
+], ids=["sum-first", "same-row", "label-first", "nan"])
+def test_mean_log_loss_raises_what_the_first_bad_row_raises(rows, actual):
+    with pytest.raises(ValueError) as want:
+        _row_losses(np.array(rows), actual, ["a", "b"])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        mean_log_loss(np.array(rows), actual, ["a", "b"])
 
 
 def test_mean_log_loss_uniform_binary():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import blademl
 
 # Every name `from blademl import *` exports.  A new export, or a removed
@@ -51,22 +53,53 @@ def test_imports_stay_within_stdlib_and_numpy():
     assert outside == []
 
 
+def _fresh_python(script, env=None):
+    """stdout of `script` run by a fresh interpreter that imports the
+    package from this source tree."""
+    src = str(Path(blademl.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    out = _fresh_python(
+        "import sys, blademl\n"
+        "print(*sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('blademl', 'numpy')))\n")
+    assert out == "blademl\n"
+
+
+def test_exports_load_on_first_access():
+    # Each export is its defining module's object, and `import *` loads
+    # them all.
+    out = _fresh_python(
+        "import blademl\n"
+        "from blademl import *\n"
+        "from blademl import features, raster\n"
+        "assert blademl.extract_features is features.extract_features\n"
+        "assert blademl.load_ppm is raster.load_ppm\n"
+        "assert set(blademl.__all__) <= set(dir(blademl))\n"
+        "print(all(getattr(blademl, name) is globals()[name]"
+        " for name in blademl.__all__))\n")
+    assert out == "True\n"
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        blademl.nope
+
+
 def test_import_leaves_numpy_one_blas_thread():
-    # A fresh interpreter, so numpy loads after blademl; a value set
+    # A fresh interpreter, so numpy loads after blademl: `import blademl`
+    # alone loads no numpy, so the script imports numpy itself.  A value set
     # beforehand is kept.
     script = ("import os, blademl\n"
+              "import numpy\n"
               "status = open('/proc/self/status').read()\n"
               "print(os.environ['OPENBLAS_NUM_THREADS'],"
               " status.split('Threads:')[1].split()[0])\n")
-    src = str(Path(blademl.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items()
            if key != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, env=env, check=True).stdout
-    assert out == "1 1\n"
+    assert _fresh_python(script, env) == "1 1\n"
     env["OPENBLAS_NUM_THREADS"] = "2"
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, env=env, check=True).stdout
-    assert out.split()[0] == "2"
+    assert _fresh_python(script, env).split()[0] == "2"
