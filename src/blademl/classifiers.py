@@ -644,14 +644,27 @@ def mlp_gradients(model: MlpModel, x, class_index: int, l2: float):
 def cross_entropy_loss(predicted, actual: str, class_names: list[str]) -> float:
     """-log of the probability assigned to the actual class, clipped to
     [1e-15, 1 - 1e-15]."""
-    p = np.asarray(predicted, dtype=np.float64)
+    return cross_entropy_losses([predicted], [actual], class_names)[0]
+
+
+def cross_entropy_losses(table, actual, class_names: list[str]) -> list:
+    """cross_entropy_loss of each row of a probability table and its
+    actual label, the table checked once: the first row whose sum is off 1
+    or whose label is unknown raises, its sum checked first."""
+    p = np.asarray(table, dtype=np.float64)
+    index = {}
+    for c, name in enumerate(class_names):
+        index.setdefault(name, c)  # the first column of a name, as .index
+    y = np.array([index.get(a, -1) for a in actual], dtype=np.intp)
     # Written as `not <=`, so a NaN row fails the check too.
-    if not abs(float(p.sum()) - 1.0) <= 1e-9:
+    bad_sum = ~(np.abs(p.sum(axis=1) - 1.0) <= 1e-9)
+    bad = np.flatnonzero(bad_sum | (y < 0))
+    if bad.size and bad_sum[bad[0]]:
         raise ValueError("predicted probabilities must sum to 1")
-    if actual not in class_names:
-        raise ValueError(f"unknown label {actual!r}")
-    value = float(p[class_names.index(actual)])
-    return -math.log(min(max(value, PROB_CLIP), 1.0 - PROB_CLIP))
+    if bad.size:
+        raise ValueError(f"unknown label {actual[bad[0]]!r}")
+    return [-math.log(min(max(v, PROB_CLIP), 1.0 - PROB_CLIP))
+            for v in p[np.arange(y.size), y].tolist()]
 
 
 def train_mlps(

@@ -221,8 +221,7 @@ def cmd_features(args) -> None:
     from .features import FEATURE_COLUMNS, FeatureMatrix, write_features_csv
     from .parallel import split_map
 
-    out = os.path.abspath(args.out)
-    _make_out_dir("--out", os.path.dirname(out), out)
+    _make_out_dir("--out", os.path.dirname(args.out) or ".", args.out)
     table = load_labeled_csv(args.labels, value_columns=False).matrix
     vectors = list(split_map(partial(_image_features, args.images), table.ids))
     matrix = FeatureMatrix(table.ids, table.labels, list(FEATURE_COLUMNS), vectors)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classifiers
-from .classifiers import PROB_CLIP, TrainConfig
+from .classifiers import TrainConfig
 from .dataset import FoldAssignment, LabeledDataset
 from .features import NormalizationParams
 from .fmt import fmt17, write_csv
@@ -211,30 +211,10 @@ def auc(scores, actual, classes: list[str]) -> float:
 
 
 def mean_log_loss(scores, actual, classes: list[str]) -> float:
-    """Mean clipped cross-entropy of the actual class probabilities.
-
-    The same value, bit for bit, and the same first error as the mean of
-    classifiers.cross_entropy_loss over the rows, with the table checked
-    once rather than row by row.
-    """
+    """Mean clipped cross-entropy of the actual class probabilities."""
     scores = _score_table(scores, actual, classes)
-    index = {}
-    for c, name in enumerate(classes):
-        index.setdefault(name, c)  # the first column of a name, as .index
-    y = np.array([index.get(a, -1) for a in actual], dtype=np.intp)
-    # The first row whose sum is off 1 (written as `not <=`, so a NaN row
-    # fails too) or whose label is unknown raises, its sum checked first.
-    bad_sum = ~(np.abs(scores.sum(axis=1) - 1.0) <= 1e-9)
-    bad = np.flatnonzero(bad_sum | (y < 0))
-    if bad.size and bad_sum[bad[0]]:
-        raise ValueError("predicted probabilities must sum to 1")
-    if bad.size:
-        raise ValueError(f"unknown label {actual[bad[0]]!r}")
-    losses = [
-        -math.log(min(max(p, PROB_CLIP), 1.0 - PROB_CLIP))
-        for p in scores[np.arange(y.size), y].tolist()
-    ]
-    return float(np.mean(losses))
+    return float(np.mean(
+        classifiers.cross_entropy_losses(scores, actual, classes)))
 
 
 def regression_errors(actual, predicted) -> tuple[float, float, float]:

@@ -640,6 +640,10 @@ EXIT_CASES = [
     ("features-out-is-a-directory",
      ("features", "--images", "{bad}", "--labels", MISSING, "--out", "{bad}"),
      1, "error: --out: [Errno 21] Is a directory: '{bad}'\n"),
+    ("features-relative-out-is-a-directory",
+     ("features", "--images", "{bad}", "--labels", MISSING, "--out",
+      "{bad_name}"), 1, "error: --out: [Errno 21] Is a directory: "
+     "'{bad_name}'\n"),
     ("features-write-fails", ("features", "--images", "{images}", "--labels",
                               "{images}/labels.csv", "--out", "{csv}"), 1,
      "error: injected write failure", (features, "write_features_csv")),
@@ -733,7 +737,8 @@ def test_exit_codes(pipeline, bad, tmp_path, capsys, monkeypatch,
                     argv, code, message, writer):
     paths = {"out": tmp_path / "new" / "out", "csv": tmp_path / "f.csv",
              "feats": pipeline / "features.csv",
-             "images": pipeline / "images", "bad": bad}
+             "images": pipeline / "images", "bad": bad, "bad_name": bad.name}
+    monkeypatch.chdir(bad.parent)  # where {bad_name} names bad
     if writer is not None:
         module, name = writer
         monkeypatch.setattr(module, name, _fails_after(getattr(module, name)))

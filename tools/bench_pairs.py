@@ -6,8 +6,9 @@
 Each `--parent`/`--change` directory is a checkout holding `src/` and an
 unchanged `perfbench/run.py`.  Each `--set WORKLOAD:SEED:PAIRS` runs PAIRS
 pairs of the `BENCHMARK.json` command with `--workload WORKLOAD --seed SEED
---seconds S --trace 0`, once in each checkout, the side that runs first
-alternating per pair.  Before each pair a fixed two-process CPU check runs.
+--seconds S --trace 0`, S being `BENCHMARK.json`'s `run_seconds`, once in
+each checkout, the side that runs first alternating per pair.  Before each
+pair a fixed two-process CPU check runs.
 Per set and end-to-end metric the output holds each side's runs, median,
 quartiles (numpy's linear percentiles) and IQR, the pairs each side won,
 and a verdict against the metric's bound.  The JSON file is rewritten
@@ -164,10 +165,11 @@ def summarize(metric: dict, parent: list, change: list) -> dict:
     return out
 
 
-def run_set(spec, sides, bench, seconds, sets, write) -> None:
+def run_set(spec, sides, bench, sets, write) -> None:
     """Run one set's pairs, appending its entry to `sets` at once and
     calling `write` after every pair."""
     workload, seed, pairs = spec
+    seconds = bench["run_seconds"]
     entry = {"workload": workload, "seed": seed, "seconds": seconds,
              "pairs": 0, "first_side_per_pair": [],
              "cpu_check_speedup_per_pair": [], "all_correct": True,
@@ -238,23 +240,20 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="change checkout")
     parser.add_argument("--set", dest="sets", type=parse_set, action="append",
                         required=True, help="WORKLOAD:SEED:PAIRS (repeatable)")
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--claim", default="",
                         help="one sentence: what the change claims")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         bench = json.load(handle)
-    seconds = args.seconds or bench["run_seconds"]
     sides = {side: os.path.abspath(getattr(args, side)) for side in SIDES}
     for side, path in sides.items():
         if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
             parser.error(f"--{side}: no perfbench/run.py under {path}")
 
-    doc = {"what": WHAT.format(seconds=seconds), "claim": args.claim,
-           "machine": machine(), "cpu_check": CPU_CHECK, "sets": [],
-           "notes": NOTES}
+    doc = {"what": WHAT.format(seconds=bench["run_seconds"]),
+           "claim": args.claim, "machine": machine(), "cpu_check": CPU_CHECK,
+           "sets": [], "notes": NOTES}
 
     def write():
         with open(args.out, "w") as handle:
@@ -262,7 +261,7 @@ def main(argv=None) -> int:
             handle.write("\n")
 
     for spec in args.sets:
-        run_set(spec, sides, bench, seconds, doc["sets"], write)
+        run_set(spec, sides, bench, doc["sets"], write)
     return 0
 
 
