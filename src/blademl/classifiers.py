@@ -111,20 +111,25 @@ def _check_finite(X: np.ndarray) -> None:
         raise ValueError("features must be finite")
 
 
-def _shared_schema(datasets: list[LabeledDataset], model: str):
-    """The class names and feature count that all training sets of one
-    lockstep fit must share; every training set must be finite."""
-    if not datasets:
-        raise ValueError(f"{model} training needs at least one training set")
-    classes = list(datasets[0].class_names)
-    if len(classes) < 2:
+def _training_blocks(blocks, class_names: list[str], model: str) -> list:
+    """The (X, y) blocks of one lockstep fit: each X a finite, C-contiguous
+    float64 (m, n, p) array of m training sets, p shared by all blocks, and
+    y their (m, n) class indices into class_names."""
+    if len(class_names) < 2:
         raise ValueError(f"{model} training requires at least 2 classes")
-    width = datasets[0].X.shape[1]
-    for ds in datasets:
-        if list(ds.class_names) != classes or ds.X.shape[1] != width:
-            raise ValueError("training sets must share classes and features")
-        _check_finite(ds.X)
-    return classes, width
+    checked = [(np.ascontiguousarray(X, dtype=np.float64), np.asarray(y))
+               for X, y in blocks]
+    for X, y in checked:
+        if X.ndim != 3 or X.shape[2] != checked[0][0].shape[2]:
+            raise ValueError("training blocks must be (m, n, p) arrays of one p")
+        if y.shape != X.shape[:2] or y.dtype.kind not in "iu":
+            raise ValueError("each block needs an (m, n) array of class indices")
+        if y.size and not 0 <= y.min() <= y.max() < len(class_names):
+            raise ValueError(f"class indices must lie in [0, {len(class_names)})")
+        _check_finite(X)
+    if not any(len(X) for X, _ in checked):
+        raise ValueError(f"{model} training needs at least one training set")
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -201,64 +206,52 @@ def logistic_gradient(
     return float(g0[0, 0]), gw[0, 0]
 
 
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """np.stack(arrays), or, without a copy, the C-contiguous array whose
-    consecutive slots the arrays already are."""
-    base = arrays[0].base
-    if (isinstance(base, np.ndarray) and base.flags.c_contiguous
-            and base.shape == (len(arrays), *arrays[0].shape)
-            and all(a.__array_interface__ == slot.__array_interface__
-                    for a, slot in zip(arrays, base))):
-        return base
-    return np.stack(arrays)
-
-
 def train_logistics(
-    datasets: list[LabeledDataset], cfg: TrainConfig | None = None
+    blocks: list, class_names: list[str], cfg: TrainConfig | None = None
 ) -> list[LogisticModel]:
     """Fit the one-vs-rest models of several training sets in one full-batch
     gradient-descent loop.
 
-    Each (training set, class) problem descends exactly as it would alone:
-    coefficients start at zero and take fixed steps until the gradient
-    infinity-norm drops below the tolerance or the iteration limit is
-    reached.  Training sets of equal row count form one stack.  A problem
-    whose gradient becomes non-finite stops; ValueError then names the
-    first such problem in (training set, class) order at its own iteration,
-    as fitting them one at a time would.  A training set is named by its
-    index, its fold when the sets are cross-validation training parts.
+    `blocks` holds (X, y) pairs, X a float64 (m, n, p) array of m training
+    sets and y their (m, n) class indices.  Each block descends as one
+    stack; cross_validate passes one per consecutive run of folds of one
+    training size.  Each (training set, class) problem descends exactly as
+    it would alone: coefficients start at zero and take fixed steps until
+    the gradient infinity-norm drops below the tolerance or the iteration
+    limit is reached.  A problem whose gradient becomes non-finite stops;
+    ValueError then names the first such problem in (training set, class)
+    order at its own iteration, as fitting them one at a time would, as
+    `fold F`, F the set's number in order across the blocks.
     """
     cfg = cfg or TrainConfig()
-    classes, width = _shared_schema(datasets, "logistic")
+    blocks = _training_blocks(blocks, class_names, "logistic")
     rate = cfg.resolved("learning_rate", LOGISTIC_DEFAULTS)
     limit = cfg.resolved("limit", LOGISTIC_DEFAULTS)
     tolerance = cfg.resolved("tolerance", LOGISTIC_DEFAULTS)
     l2 = cfg.resolved("l2", LOGISTIC_DEFAULTS)
 
-    k = len(classes)
-    by_size = {}
-    for i, ds in enumerate(datasets):
-        by_size.setdefault(ds.n, []).append(i)
-    # Per stack: training set indices, X, targets, gradient scratch (reused,
+    k = len(class_names)
+    # Per stack: its first set's number, X, targets, gradient scratch (reused,
     # as freeing ~100 KB arrays makes glibc trim the heap and fault it back
     # in each iteration), intercepts, weights and the problems descending.
     stacks = []
-    for n, index in by_size.items():
-        y = np.stack([datasets[i].y for i in index])
+    firsts = np.cumsum([0] + [len(X) for X, _ in blocks])
+    for first, (X, y) in zip(firsts, blocks):
+        m, n, width = X.shape
         stacks.append((
-            index,
-            _stacked([datasets[i].X for i in index])[:, None],
+            first,
+            X[:, None],
             (y[:, None, :] == np.arange(k)[:, None]).astype(np.float64),
-            np.empty((3, len(index), k, n, 1)),
-            np.zeros((len(index), k)),
-            np.zeros((len(index), k, width)),
-            np.ones((len(index), k), dtype=bool),
+            np.empty((3, m, k, n, 1)),
+            np.zeros((m, k)),
+            np.zeros((m, k, width)),
+            np.ones((m, k), dtype=bool),
         ))
     failures = []
     # Divergence is reported by the gradient check, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(limit):
-            for index, X, targets, scratch, intercepts, weights, active in stacks:
+            for first, X, targets, scratch, intercepts, weights, active in stacks:
                 if not active.any():
                     continue
                 g0, gw = _stack_logistic_gradients(
@@ -269,7 +262,7 @@ def train_logistics(
                 )
                 finite = np.isfinite(norm)
                 for s, c in zip(*np.nonzero(active & ~finite)):
-                    failures.append((index[s], c, iteration + 1))
+                    failures.append((first + s, c, iteration + 1))
                 active &= finite & (norm >= tolerance)
                 # x - 0.0 is x, so stopped problems keep their bits.
                 intercepts -= np.where(active, rate * g0, 0.0)
@@ -279,23 +272,19 @@ def train_logistics(
     if failures:
         fold, c, iteration = min(failures)
         raise ValueError(
-            f"fold {fold}: logistic gradient for class {classes[c]!r} "
+            f"fold {fold}: logistic gradient for class {class_names[c]!r} "
             f"became non-finite in iteration {iteration} of {limit}"
         )
 
-    models = [None] * len(datasets)
-    for index, _, _, _, intercepts, weights, _ in stacks:
-        for slot, i in enumerate(index):
-            models[i] = LogisticModel(
-                classes, intercepts[slot].copy(), weights[slot].copy()
-            )
-    return models
+    return [LogisticModel(list(class_names), b.copy(), w.copy())
+            for *_, intercepts, weights, _ in stacks
+            for b, w in zip(intercepts, weights)]
 
 
 def train_logistic(ds: LabeledDataset, cfg: TrainConfig | None = None) -> LogisticModel:
     """Fit one-vs-rest logistic coefficients by full-batch gradient descent
     from zero, stopping at the gradient tolerance or the iteration limit."""
-    return train_logistics([ds], cfg)[0]
+    return train_logistics([(ds.X[None], ds.y[None])], ds.class_names, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +407,19 @@ def _grow(X, y, k, depth, max_depth, min_leaf):
 
 def train_tree(ds: LabeledDataset, cfg: TrainConfig | None = None) -> TreeModel:
     """Grow a classification tree by greedy Gini-decrease splitting."""
+    return fit_tree(ds.X, ds.y, ds.class_names, cfg)
+
+
+def fit_tree(X, y, class_names: list[str], cfg: TrainConfig | None = None) -> TreeModel:
+    """train_tree on the float64 rows X and their class indices y."""
     cfg = cfg or TrainConfig()
-    if len(ds.class_names) < 2:
+    if len(class_names) < 2:
         raise ValueError("tree classification requires at least 2 classes")
-    X = ds.X
     _check_finite(X)
     max_depth = cfg.resolved("max_depth", TREE_DEFAULTS)
     min_leaf = cfg.resolved("min_leaf", TREE_DEFAULTS)
-    root = _grow(X, ds.y, len(ds.class_names), 0, max_depth, min_leaf)
-    return TreeModel(list(ds.class_names), X.shape[1], root, max_depth, min_leaf)
+    root = _grow(X, y, len(class_names), 0, max_depth, min_leaf)
+    return TreeModel(list(class_names), X.shape[1], root, max_depth, min_leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +464,17 @@ def train_naive_bayes(ds: LabeledDataset) -> NaiveBayesModel:
     produce degenerate densities.  A mean or variance that overflows raises
     ValueError naming the feature and class.
     """
-    if len(ds.class_names) < 2:
+    return fit_naive_bayes(ds.X, ds.y, ds.class_names)
+
+
+def fit_naive_bayes(X, y, class_names: list[str]) -> NaiveBayesModel:
+    """train_naive_bayes on the float64 rows X and their class indices y."""
+    if len(class_names) < 2:
         raise ValueError("naive Bayes requires at least 2 classes")
-    X = ds.X
     _check_finite(X)
-    k = len(ds.class_names)
+    k = len(class_names)
     n, p = X.shape
-    counts = np.bincount(ds.y, minlength=k)
+    counts = np.bincount(y, minlength=k)
     if int(counts.min()) == 0:
         raise ValueError("every class needs at least one sample")
     means = np.empty((k, p))
@@ -486,7 +483,7 @@ def train_naive_bayes(ds: LabeledDataset) -> NaiveBayesModel:
     with np.errstate(over="ignore", invalid="ignore"):
         spread = X.var(axis=0)
         for c in range(k):
-            rows = X[ds.y == c]
+            rows = X[y == c]
             means[c] = rows.mean(axis=0)
             variances[c] = rows.var(axis=0)
     bad = np.argwhere(~(np.isfinite(means) & np.isfinite(variances)))
@@ -494,7 +491,7 @@ def train_naive_bayes(ds: LabeledDataset) -> NaiveBayesModel:
         c, j = bad[0]
         raise ValueError(
             f"naive Bayes mean or variance of feature {j} for class "
-            f"{ds.class_names[c]!r} is not finite"
+            f"{class_names[c]!r} is not finite"
         )
     bad = np.flatnonzero(~np.isfinite(spread))
     if bad.size:
@@ -504,7 +501,7 @@ def train_naive_bayes(ds: LabeledDataset) -> NaiveBayesModel:
         )
     eps_var = 1e-9 * max(float(spread.max()), 1e-12)
     variances = np.maximum(variances, eps_var)
-    return NaiveBayesModel(list(ds.class_names), counts / n, means, variances,
+    return NaiveBayesModel(list(class_names), counts / n, means, variances,
                            eps_var)
 
 
@@ -668,34 +665,35 @@ def cross_entropy_losses(table, actual, class_names: list[str]) -> list:
 
 
 def train_mlps(
-    datasets: list[LabeledDataset], cfg: TrainConfig | None = None
+    blocks: list, class_names: list[str], cfg: TrainConfig | None = None
 ) -> list[MlpModel]:
     """Train one network per training set, all in one per-sample SGD loop.
 
-    Each network trains exactly as it would alone: seeded init, per-epoch
-    Fisher-Yates shuffle from the same SplitMix64 stream, one backprop
-    update per row.  Every step updates all networks that still have a row
-    left in the current epoch with one batched op per layer.  The weights
-    are checked once per epoch: a non-finite value raises ValueError naming
-    the epoch and the first diverged training set by its index, which is
-    its fold when the sets are cross-validation training parts.
+    `blocks` are (X, y) pairs as for train_logistics.  Each network trains
+    exactly as it would alone: seeded init, per-epoch Fisher-Yates shuffle
+    from the same SplitMix64 stream, one backprop update per row.  Every
+    step updates all networks that still have a row left in the current
+    epoch with one batched op per layer.  The weights are checked once per
+    epoch: a non-finite value raises ValueError naming the epoch and the
+    first diverged training set as `fold F`, F its number across the blocks.
     """
     cfg = cfg or TrainConfig()
-    classes, width = _shared_schema(datasets, "MLP")
+    blocks = _training_blocks(blocks, class_names, "MLP")
+    sets = [pair for X, y in blocks for pair in zip(X, y)]
     rate = cfg.resolved("learning_rate", MLP_DEFAULTS)
     limit = cfg.resolved("limit", MLP_DEFAULTS)
     l2 = cfg.resolved("l2", MLP_DEFAULTS)
     hidden = cfg.resolved("hidden", MLP_DEFAULTS)
     activation = cfg.resolved("activation", MLP_DEFAULTS)
 
-    sizes = [width, *hidden, len(classes)]
+    sizes = [blocks[0][0].shape[2], *hidden, len(class_names)]
     rng = SplitMix64(cfg.seed)
-    init = init_mlp(classes, sizes, activation, rng)
+    init = init_mlp(list(class_names), sizes, activation, rng)
 
     # Slots hold the networks largest training set first, so the networks
     # with a row left at step t of an epoch are always slots [:m].
-    order = sorted(range(len(datasets)), key=lambda i: -datasets[i].n)
-    counts = [datasets[i].n for i in order]
+    order = sorted(range(len(sets)), key=lambda i: -len(sets[i][1]))
+    counts = [len(sets[i][1]) for i in order]
     k = len(order)
     longest = counts[0]
     # A network's shuffles depend only on its row count, so networks of
@@ -713,17 +711,17 @@ def train_mlps(
     weights = [np.repeat(w[None], k, axis=0) for w in init.weights]
     biases = [np.repeat(b[None, :, None], k, axis=0) for b in init.biases]
     # inputs[t, s] and targets[t, s] hold slot s's row at step t of an epoch.
-    inputs = np.zeros((longest, k, width, 1))
-    targets = np.zeros((longest, k, len(classes), 1))
-    onehot = np.eye(len(classes))
+    inputs = np.zeros((longest, k, sizes[0], 1))
+    targets = np.zeros((longest, k, len(class_names), 1))
+    onehot = np.eye(len(class_names))
     # Divergence is reported by the per-epoch check, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(limit):
             shuffles = {n: shuffled_indices(n, s) for n, s in streams.items()}
-            for slot, i in enumerate(order):
+            for slot, (X, y) in enumerate(sets[i] for i in order):
                 rows = shuffles[counts[slot]]
-                inputs[:counts[slot], slot, :, 0] = datasets[i].X[rows]
-                targets[:counts[slot], slot, :, 0] = onehot[datasets[i].y[rows]]
+                inputs[:counts[slot], slot, :, 0] = X[rows]
+                targets[:counts[slot], slot, :, 0] = onehot[y[rows]]
             for m, start, stop in segments:
                 ws = [w[:m] for w in weights]
                 bs = [b[:m] for b in biases]
@@ -754,7 +752,7 @@ def train_mlps(
     models = [None] * k
     for slot, i in enumerate(order):
         models[i] = MlpModel(
-            classes, list(sizes), [w[slot].copy() for w in weights],
+            list(class_names), list(sizes), [w[slot].copy() for w in weights],
             [b[slot, :, 0].copy() for b in biases], activation,
         )
     return models
@@ -763,7 +761,7 @@ def train_mlps(
 def train_mlp(ds: LabeledDataset, cfg: TrainConfig | None = None) -> MlpModel:
     """Train by per-sample SGD: seeded init, per-epoch Fisher-Yates shuffle
     from the same SplitMix64 stream, one backprop update per row."""
-    return train_mlps([ds], cfg)[0]
+    return train_mlps([(ds.X[None], ds.y[None])], ds.class_names, cfg)[0]
 
 
 # ---------------------------------------------------------------------------

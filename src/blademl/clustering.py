@@ -51,6 +51,8 @@ class DistanceMatrix:
             raise ValueError("distances must be nonnegative")
 
     def get(self, i: int, j: int) -> float:
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"row pair ({i}, {j}) out of range for {self.n} rows")
         if i == j:
             return 0.0
         i, j = min(i, j), max(i, j)

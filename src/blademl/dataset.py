@@ -50,19 +50,15 @@ class LabeledDataset:
         """Integer class index per row, aligned with class_names."""
         return self._y
 
-    def subset(
-        self, indices: np.ndarray, out: np.ndarray | None = None
-    ) -> "LabeledDataset":
-        """Row subset preserving this dataset's class-name order.  `out`, a
-        float64 (len(indices), p) array, receives the rows and is the
-        subset's X."""
+    def subset(self, indices: np.ndarray) -> "LabeledDataset":
+        """Row subset preserving this dataset's class-name order."""
         indices = np.asarray(indices)
         m = self.matrix
         sub = FeatureMatrix(
             [m.ids[i] for i in indices],
             [m.labels[i] for i in indices],
             m.columns,
-            np.take(m.values, indices, axis=0, out=out),
+            m.values[indices],
         )
         return LabeledDataset(sub, self.class_names)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -34,8 +35,8 @@ MODEL_KINDS = ("tree", "nb", "logreg", "mlp")
 
 
 class ProtocolError(ValueError):
-    """A fold's training part is missing a class, so the fold cannot be
-    evaluated under the shared protocol."""
+    """A fold holds no rows or its training part is missing a class, so the
+    fold cannot be evaluated under the shared protocol."""
 
 
 class RSquaredUndefinedError(ValueError):
@@ -273,22 +274,23 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
 
-def train_folds(spec: ModelSpec, datasets: list[LabeledDataset]) -> list:
-    """One model per training set; the networks of an mlp spec and the
+def train_folds(spec: ModelSpec, blocks: list, class_names: list[str]) -> list:
+    """One model per training set of the (X, y) blocks, which cross_validate
+    makes of consecutive runs of folds; the networks of an mlp spec and the
     one-vs-rest problems of a logreg spec each train in one lockstep loop.
-    A training error names `fold F`, F being the index of the training set
-    that failed."""
+    A training error names `fold F`, F the set's number across the blocks."""
     if spec.kind == "mlp":
-        return classifiers.train_mlps(datasets, spec.config)
+        return classifiers.train_mlps(blocks, class_names, spec.config)
     if spec.kind == "logreg":
-        return classifiers.train_logistics(datasets, spec.config)
+        return classifiers.train_logistics(blocks, class_names, spec.config)
     models = []
-    for f, ds in enumerate(datasets):
+    slots = (pair for X, y in blocks for pair in zip(X, y))
+    for f, (X, y) in enumerate(slots):
         try:
             if spec.kind == "tree":
-                models.append(classifiers.train_tree(ds, spec.config))
+                models.append(classifiers.fit_tree(X, y, class_names, spec.config))
             else:
-                models.append(classifiers.train_naive_bayes(ds))
+                models.append(classifiers.fit_naive_bayes(X, y, class_names))
         except ValueError as exc:
             raise ValueError(f"fold {f}: {exc}") from exc
     return models
@@ -333,8 +335,8 @@ def cross_validate(
     leaks across the split), every model trains on the standardized
     training part, and probabilities are predicted on the standardized
     fold.  Argmax ties resolve to the earliest class.  Raises
-    ProtocolError naming the fold and class if any training part misses
-    a class, and ValueError naming the model if its training fails.
+    ProtocolError naming the fold if it holds no rows or its training part
+    misses a class, and ValueError naming the model if its training fails.
     """
     if len(ds.class_names) < 2:
         raise ValueError("cross-validation requires at least 2 classes")
@@ -347,6 +349,8 @@ def cross_validate(
     train_idx = [folds.train_indices(f) for f in range(folds.k)]
     test_idx = [folds.test_indices(f) for f in range(folds.k)]
     for f, idx in enumerate(train_idx):
+        if not test_idx[f].size:
+            raise ProtocolError(f"fold {f} holds no rows")
         counts = np.bincount(ds.y[idx], minlength=len(ds.class_names))
         missing = np.flatnonzero(counts == 0)
         if missing.size:
@@ -357,26 +361,25 @@ def cross_validate(
 
     def fold_probabilities(fold_range):
         """Per model, the held-out probability table of each fold in
-        fold_range.  The training parts of one size are the consecutive
-        slots of one (parts, n, p) array, z-scored in place: the one copy
-        that every model reads and the stack that train_logistics descends
-        on.  Each model trains on every part and then predicts."""
-        sizes = [train_idx[f].size for f in fold_range]
-        blocks = {size: iter(np.empty((sizes.count(size), size, ds.X.shape[1])))
-                  for size in set(sizes)}
-        parts = []
+        fold_range.  Each consecutive run of folds with training parts of one
+        size is one (parts, n, p) block, its slots z-scored in place: the one
+        copy that every model reads and one stack of train_logistics.  Each
+        model trains on every part and then predicts."""
+        blocks = []
         held_out = []
-        for f in fold_range:
-            slot = next(blocks[train_idx[f].size])
-            parts.append(ds.subset(train_idx[f], out=slot))
-            params = NormalizationParams(slot.mean(axis=0), slot.std(axis=0))
-            params.apply(slot, out=slot)
-            rows = ds.X[test_idx[f]]
-            held_out.append(params.apply(rows, out=rows))
+        for _, run in groupby(fold_range, key=lambda f: train_idx[f].size):
+            run = list(run)
+            rows = np.array([train_idx[f] for f in run])
+            blocks.append((np.take(ds.X, rows, axis=0), ds.y[rows]))
+            for f, slot in zip(run, blocks[-1][0]):
+                params = NormalizationParams(slot.mean(axis=0), slot.std(axis=0))
+                params.apply(slot, out=slot)
+                test = ds.X[test_idx[f]]
+                held_out.append(params.apply(test, out=test))
         tables = []
         for spec in specs:
             try:
-                models = train_folds(spec, parts)
+                models = train_folds(spec, blocks, ds.class_names)
             except ValueError as exc:
                 raise ValueError(f"model {spec.name!r}: {exc}") from exc
             tables.append([model.predict_proba(rows)

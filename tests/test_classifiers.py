@@ -1,6 +1,7 @@
 """Classifier unit tests: activations, gradients, trees, NB, MLP, I/O."""
 
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -186,6 +187,14 @@ def _training_parts(n, k, classes, p, seed):
     return [ds.subset([i for i in range(n) if i % k != f]) for f in range(k)]
 
 
+def _blocks(sets):
+    """The training sets as (X, y) blocks, one per run of consecutive sets
+    of one row count, as cross-validation hands them over."""
+    runs = [list(run) for _, run in itertools.groupby(sets, key=lambda ds: ds.n)]
+    return [(np.stack([ds.X for ds in run]), np.stack([ds.y for ds in run]))
+            for run in runs]
+
+
 def _descend(ds, cfg):
     return logistic_descent(ds.X, ds.y, len(ds.class_names), cfg.learning_rate,
                             cfg.limit, cfg.tolerance, cfg.l2)
@@ -204,7 +213,7 @@ def _descend(ds, cfg):
 ], ids=["equal", "unequal-3-classes", "no-features", "limit-1", "tolerance"])
 def test_train_logistics_lockstep_matches_solo(n, k, classes, p, cfg):
     sets = _training_parts(n, k, classes, p, seed=71)
-    models = train_logistics(sets, cfg)
+    models = train_logistics(_blocks(sets), classes, cfg)
     if cfg.tolerance == 1e-2:
         steps = _descend(sets[0], cfg)[2]
         assert len(set(steps)) == len(classes) and max(steps) < cfg.limit
@@ -213,41 +222,6 @@ def test_train_logistics_lockstep_matches_solo(n, k, classes, p, cfg):
         assert model.intercepts.tobytes() == intercepts.tobytes()
         assert model.coefficients.tobytes() == coefficients.tobytes()
         assert model_to_json(train_logistic(ds, cfg)) == model_to_json(model)
-
-
-def _with_X(ds, X):
-    m = ds.matrix
-    return LabeledDataset(FeatureMatrix(m.ids, m.labels, m.columns, X),
-                          ds.class_names)
-
-
-def test_train_logistics_stack_views_and_copies_agree():
-    # Four training sets of 30 rows: slot views of one stack are descended
-    # on without a copy; separate arrays, and views out of order or from
-    # two stacks, are stacked first.  Every model keeps its solo bits.
-    sets = _training_parts(40, 4, ["a", "b", "c"], 3, seed=73)
-    cfg = TrainConfig(0.5, 100, 1e-6, 1e-3)
-    stack = np.stack([ds.X for ds in sets])
-    other = stack.copy()
-    views = [_with_X(ds, X) for ds, X in zip(sets, stack)]
-    inputs = {
-        "views": views,
-        "arrays": [_with_X(ds, X.copy()) for ds, X in zip(sets, stack)],
-        "reversed": views[::-1],
-        "two-bases": views[:2] + [_with_X(ds, X)
-                                  for ds, X in zip(sets[2:], other[2:])],
-    }
-    assert classifiers._stacked([ds.X for ds in views]) is stack
-    for name in ("arrays", "reversed", "two-bases"):
-        X = [ds.X for ds in inputs[name]]
-        assert not np.shares_memory(classifiers._stacked(X), stack), name
-    solo = [model_to_json(train_logistic(ds, cfg)) for ds in sets]
-    for name, datasets in inputs.items():
-        expected = solo[::-1] if name == "reversed" else solo
-        assert [model_to_json(train_logistic(ds, cfg))
-                for ds in datasets] == expected, name
-        assert [model_to_json(m)
-                for m in train_logistics(datasets, cfg)] == expected, name
 
 
 def test_train_logistics_reports_divergence_in_sequential_order():
@@ -270,18 +244,38 @@ def test_train_logistics_reports_divergence_in_sequential_order():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError) as caught:
-            train_logistics(sets, cfg)
+            train_logistics(_blocks(sets), ["a", "b"], cfg)
     assert str(caught.value) == expected
 
 
-def test_train_logistics_validation():
-    a = _dataset([[0.0], [1.0]], ["p", "q"])
+def _rejects_bad_blocks(train):
+    X = np.zeros((2, 3, 1))
+    y = np.array([[0, 1, 0], [1, 0, 1]])
     with pytest.raises(ValueError, match="at least one"):
-        train_logistics([])
-    with pytest.raises(ValueError, match="share classes"):
-        train_logistics([a, _dataset([[0.0], [1.0]], ["q", "p"])])
-    with pytest.raises(ValueError, match="share classes"):
-        train_logistics([a, _dataset([[0.0, 1.0], [1.0, 0.0]], ["p", "q"])])
+        train([], ["p", "q"])
+    with pytest.raises(ValueError, match="at least one"):
+        train([(X[:0], y[:0])], ["p", "q"])
+    with pytest.raises(ValueError, match="at least 2 classes"):
+        train([(X, y)], ["p"])
+    with pytest.raises(ValueError, match="arrays of one p"):
+        train([(X[0], y[0])], ["p", "q"])
+    with pytest.raises(ValueError, match="arrays of one p"):
+        train([(X, y), (np.zeros((1, 3, 2)), y[:1])], ["p", "q"])
+    with pytest.raises(ValueError, match=r"\(m, n\) array of class indices"):
+        train([(X, y[:, :2])], ["p", "q"])
+    with pytest.raises(ValueError, match=r"\(m, n\) array of class indices"):
+        train([(X, y * 1.0)], ["p", "q"])
+    with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
+        train([(X, y + 1)], ["p", "q"])
+    with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
+        train([(X, y - 1)], ["p", "q"])
+    X[1, 2, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        train([(X, y)], ["p", "q"])
+
+
+def test_train_logistics_validation():
+    _rejects_bad_blocks(train_logistics)
 
 
 def test_logistic_requires_two_classes():
@@ -714,7 +708,7 @@ def test_train_mlps_lockstep_matches_solo(activation, hidden):
     )]
     cfg = TrainConfig(learning_rate=0.05, limit=4, l2=1e-3, hidden=hidden,
                       activation=activation, seed=8)
-    lockstep = train_mlps(sets, cfg)
+    lockstep = train_mlps(_blocks(sets), ["a", "b", "c", "d"], cfg)
     for ds, model in zip(sets, lockstep):
         text = model_to_json(model)
         assert text == model_to_json(train_mlp(ds, cfg))
@@ -722,13 +716,7 @@ def test_train_mlps_lockstep_matches_solo(activation, hidden):
 
 
 def test_train_mlps_validation():
-    a = _dataset([[0.0], [1.0]], ["p", "q"])
-    with pytest.raises(ValueError, match="at least one"):
-        train_mlps([])
-    with pytest.raises(ValueError, match="share classes"):
-        train_mlps([a, _dataset([[0.0], [1.0]], ["q", "p"])])
-    with pytest.raises(ValueError, match="share classes"):
-        train_mlps([a, _dataset([[0.0, 1.0], [1.0, 0.0]], ["p", "q"])])
+    _rejects_bad_blocks(train_mlps)
 
 
 def test_train_mlps_nonfinite_names_fold_and_epoch():
@@ -740,7 +728,7 @@ def test_train_mlps_nonfinite_names_fold_and_epoch():
         _dataset(np.array(u[8:]).reshape(6, 2) * 1e200, ["p", "q"] * 3),
     ]
     with pytest.raises(ValueError, match=r"^fold 1: .* non-finite in epoch 1 of 3$"):
-        train_mlps(sets, TrainConfig(limit=3, seed=1))
+        train_mlps(_blocks(sets), ["p", "q"], TrainConfig(limit=3, seed=1))
 
 
 def test_train_config_defaults_frozen():

@@ -95,6 +95,14 @@ def test_euclidean_raw_345():
     assert d.get(1, 1) == 0.0
 
 
+def test_distance_get_rejects_out_of_range_rows():
+    d = DistanceMatrix(3, np.array([1.0, 2.0, 3.0]), "euclidean", False)
+    assert [d.get(0, 1), d.get(0, 2), d.get(1, 2), d.get(2, 2)] == [1.0, 2.0, 3.0, 0.0]
+    for i, j in ((0, 3), (3, 0), (-1, 0), (0, -1), (3, 3), (-1, -1)):
+        with pytest.raises(IndexError, match="out of range for 3 rows"):
+            d.get(i, j)
+
+
 def test_normalization_changes_distances():
     m = _matrix([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
     raw = pairwise_distances(m, "euclidean", normalize=False)

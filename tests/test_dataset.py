@@ -127,6 +127,22 @@ def test_folds_partition_rows():
         assert train | test == set(range(12))
 
 
+@pytest.mark.parametrize("mix, k, seed", [
+    ({"a": 50, "b": 50}, 10, 7),
+    ({"h": 34, "c": 33, "e": 33}, 10, 7),
+    ({"a": 5, "b": 17, "c": 9}, 4, 3),
+    ({"a": 3, "b": 3}, 3, 0),
+    ({"x": 13, "y": 2, "z": 29, "w": 7}, 2, 11),
+])
+def test_training_part_sizes_never_decrease(mix, k, seed):
+    # Each class is dealt round-robin from fold 0, so a later fold never
+    # holds out more rows and its training part is never smaller.
+    labels = [label for label, count in mix.items() for _ in range(count)]
+    folds = stratified_kfold(_dataset(labels), k, seed)
+    sizes = [folds.train_indices(f).size for f in range(k)]
+    assert sizes == sorted(sizes)
+
+
 def test_kfold_determinism_and_seed_sensitivity():
     ds = _dataset(["a"] * 20 + ["b"] * 20)
     a = stratified_kfold(ds, 4, seed=9)

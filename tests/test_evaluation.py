@@ -489,25 +489,58 @@ def test_cross_validate_peak_memory(monkeypatch, cpus):
     assert peak <= (folds.k - 1) * X.nbytes
 
 
+def _fail_nb_on_fold(monkeypatch, ds, folds, fold):
+    """Make the naive Bayes core raise `no fit` on the z-scored training
+    part of `fold`, found by its rows."""
+    rows = ds.X[folds.train_indices(fold)]
+    part = (rows - rows.mean(axis=0)) / rows.std(axis=0)
+    fit = classifiers.fit_naive_bayes
+
+    def fit_naive_bayes(X, y, class_names):
+        if X.shape == part.shape and np.allclose(X, part):
+            raise ValueError("no fit")
+        return fit(X, y, class_names)
+
+    monkeypatch.setattr(classifiers, "fit_naive_bayes", fit_naive_bayes)
+
+
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
 def test_cross_validate_names_failed_fold_of_second_half(monkeypatch, cpus):
     # Folds 2 and 3 train as the second half, which names them 0 and 1;
     # the error still names fold 3, as training fold by fold does.
     ds = _blob_dataset()
     folds = stratified_kfold(ds, 4, seed=2)
-    held_out = ds.matrix.ids[int(folds.test_indices(3)[0])]
-    fit = classifiers.train_naive_bayes
-
-    def train_naive_bayes(part):
-        if held_out not in part.matrix.ids:
-            raise ValueError("no fit")
-        return fit(part)
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    monkeypatch.setattr(classifiers, "train_naive_bayes", train_naive_bayes)
+    _fail_nb_on_fold(monkeypatch, ds, folds, 3)
     with pytest.raises(ValueError, match="^model 'nb': fold 3: no fit$") as e:
         cross_validate(ds, FAST_SPECS, folds)
     assert str(e.value.__cause__) == "fold 3: no fit"
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("fold", [2, 4])
+def test_cross_validate_names_failed_fold_of_unsorted_sizes(
+    monkeypatch, cpus, fold
+):
+    # Folds hold 2, 3, 2, 3, 3 and 3 rows, so the training parts of 14, 13,
+    # 14, 13, 13 and 13 rows go down, up and down again.  The first half
+    # trains as three one-part blocks, the second as one block of three.
+    # The failed fold is still named by its own number.
+    ds = _blob_dataset()
+    folds = FoldAssignment(6, np.repeat(range(6), [2, 3, 2, 3, 3, 3]), seed=0)
+    assert ([folds.train_indices(f).size for f in range(6)]
+            == [14, 13, 14, 13, 13, 13])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    _fail_nb_on_fold(monkeypatch, ds, folds, fold)
+    with pytest.raises(ValueError, match=f"^model 'nb': fold {fold}: no fit$"):
+        cross_validate(ds, FAST_SPECS, folds)
+
+
+def test_cross_validate_rejects_empty_fold():
+    ds = _blob_dataset(per_class=6)
+    folds = FoldAssignment(3, [0, 1] * 6, seed=0)
+    with pytest.raises(ProtocolError, match="^fold 2 holds no rows$"):
+        cross_validate(ds, FAST_SPECS, folds)
 
 
 def test_cross_validate_validation():
@@ -590,14 +623,10 @@ def test_comparison_csv_empty_diagonal(tmp_path):
 
 
 def test_train_folds_names_nonfinite_naive_bayes_fold():
-    def part(scale):
-        X = np.array([[1.0], [-1.0], [3.0], [2.0]]) * scale
-        m = FeatureMatrix(["r0", "r1", "r2", "r3"], ["a", "a", "b", "b"],
-                          ["c0"], X)
-        return LabeledDataset.from_matrix(m)
-
+    X = np.array([[1.0], [-1.0], [3.0], [2.0]])
+    block = (np.stack([X, X * 1e200]), np.array([[0, 0, 1, 1]] * 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="^fold 1: naive Bayes mean or "
                            "variance of feature 0 for class 'a' is not finite$"):
-            train_folds(ModelSpec("nb", "nb"), [part(1.0), part(1e200)])
+            train_folds(ModelSpec("nb", "nb"), [block], ["a", "b"])
