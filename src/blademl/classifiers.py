@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, class_indices
 from .fmt import render_json
 from .rng import SplitMix64, shuffled_indices
 
@@ -645,23 +645,31 @@ def cross_entropy_loss(predicted, actual: str, class_names: list[str]) -> float:
 
 
 def cross_entropy_losses(table, actual, class_names: list[str]) -> list:
-    """cross_entropy_loss of each row of a probability table and its
-    actual label, the table checked once: the first row whose sum is off 1
+    """cross_entropy_loss of each row of a probability_table."""
+    p, y = probability_table(table, actual, class_names)
+    return [-math.log(min(max(v, PROB_CLIP), 1.0 - PROB_CLIP))
+            for v in p[np.arange(y.size), y].tolist()]
+
+
+def probability_table(table, actual, class_names: list[str]):
+    """(p, y): table as float64 rows, one per actual label and one column
+    per class, and each label's column.  The first row whose sum is off 1
     or whose label is unknown raises, its sum checked first."""
     p = np.asarray(table, dtype=np.float64)
-    index = {}
-    for c, name in enumerate(class_names):
-        index.setdefault(name, c)  # the first column of a name, as .index
-    y = np.array([index.get(a, -1) for a in actual], dtype=np.intp)
+    if p.ndim != 2 or p.shape[1] != len(class_names):
+        raise ValueError(f"score table of shape {p.shape} needs one column "
+                         f"per class ({len(class_names)})")
+    if len(actual) != p.shape[0]:
+        raise ValueError("scores and labels must have equal length")
+    y = class_indices(actual, class_names)
     # Written as `not <=`, so a NaN row fails the check too.
     bad_sum = ~(np.abs(p.sum(axis=1) - 1.0) <= 1e-9)
     bad = np.flatnonzero(bad_sum | (y < 0))
     if bad.size and bad_sum[bad[0]]:
-        raise ValueError("predicted probabilities must sum to 1")
+        raise ValueError("probability rows must sum to 1")
     if bad.size:
-        raise ValueError(f"unknown label {actual[bad[0]]!r}")
-    return [-math.log(min(max(v, PROB_CLIP), 1.0 - PROB_CLIP))
-            for v in p[np.arange(y.size), y].tolist()]
+        raise ValueError(f"unknown actual label {actual[bad[0]]!r}")
+    return p, y
 
 
 def train_mlps(

@@ -11,6 +11,14 @@ from .fmt import write_csv
 from .rng import SplitMix64, shuffled_indices
 
 
+def class_indices(labels, class_names: list[str]) -> np.ndarray:
+    """Each label's column in class_names, or -1 if it names none."""
+    column = {name: c for c, name in enumerate(class_names)}
+    if len(column) != len(class_names):
+        raise ValueError("class names must be unique")
+    return np.array([column.get(a, -1) for a in labels], dtype=np.intp)
+
+
 @dataclass
 class LabeledDataset:
     """Feature matrix with labels plus the class-name order used everywhere
@@ -20,16 +28,14 @@ class LabeledDataset:
     class_names: list[str]
 
     def __post_init__(self):
-        if self.matrix.labels is None:
+        labels = self.matrix.labels
+        if labels is None:
             raise ValueError("labeled dataset requires a label column")
-        if len(set(self.class_names)) != len(self.class_names):
-            raise ValueError("class names must be unique")
-        known = set(self.class_names)
-        for i, label in enumerate(self.matrix.labels):
-            if label not in known:
-                raise ValueError(f"row {i} label {label!r} not in class names")
-        index = {name: j for j, name in enumerate(self.class_names)}
-        self._y = np.array([index[label] for label in self.matrix.labels])
+        self._y = class_indices(labels, self.class_names)
+        unknown = np.flatnonzero(self._y < 0)
+        if unknown.size:
+            i = unknown[0]
+            raise ValueError(f"row {i} label {labels[i]!r} not in class names")
 
     @classmethod
     def from_matrix(cls, m: FeatureMatrix) -> "LabeledDataset":

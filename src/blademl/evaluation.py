@@ -17,7 +17,7 @@ import numpy as np
 
 from . import classifiers
 from .classifiers import TrainConfig
-from .dataset import FoldAssignment, LabeledDataset
+from .dataset import FoldAssignment, LabeledDataset, class_indices
 from .features import NormalizationParams
 from .fmt import fmt17, write_csv
 from .parallel import split_map
@@ -80,14 +80,15 @@ class ConfusionMatrix:
 def confusion_matrix(actual, predicted, classes: list[str]) -> ConfusionMatrix:
     if len(actual) != len(predicted):
         raise ValueError("actual and predicted must have equal length")
-    index = {name: i for i, name in enumerate(classes)}
-    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for a, p in zip(actual, predicted):
-        if a not in index:
-            raise ValueError(f"unknown actual label {a!r}")
-        if p not in index:
-            raise ValueError(f"unknown predicted label {p!r}")
-        counts[index[a], index[p]] += 1
+    a = class_indices(actual, classes)
+    p = class_indices(predicted, classes)
+    bad = np.flatnonzero((a < 0) | (p < 0))
+    if bad.size and a[bad[0]] < 0:
+        raise ValueError(f"unknown actual label {actual[bad[0]]!r}")
+    if bad.size:
+        raise ValueError(f"unknown predicted label {predicted[bad[0]]!r}")
+    k = len(classes)
+    counts = np.bincount(a * k + p, minlength=k * k).reshape(k, k)
     return ConfusionMatrix(list(classes), counts)
 
 
@@ -168,35 +169,13 @@ def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     return (rank_sum - p * (p + 1) / 2.0) / (p * n_neg)
 
 
-def _score_table(scores, actual, classes: list[str]) -> np.ndarray:
-    """scores as a float table with one row per label and one column per
-    class."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[1] != len(classes):
-        raise ValueError(
-            f"score table of shape {scores.shape} needs one column per "
-            f"class ({len(classes)})"
-        )
-    if len(actual) != scores.shape[0]:
-        raise ValueError("scores and labels must have equal length")
-    return scores
-
-
 def auc(scores, actual, classes: list[str]) -> float:
     """Support-weighted mean of per-class one-vs-rest AUCs.
 
     Classes lacking either a positive or a negative example are skipped;
     if no class is valid the AUC is undefined and an error is raised.
     """
-    scores = _score_table(scores, actual, classes)
-    # Written as `not <=`, so a NaN row fails the check too.
-    if not np.all(np.abs(scores.sum(axis=1) - 1.0) <= 1e-9):
-        raise ValueError("every probability row must sum to 1")
-    index = {name: i for i, name in enumerate(classes)}
-    unknown = [a for a in actual if a not in index]
-    if unknown:
-        raise ValueError(f"unknown actual label {unknown[0]!r}")
-    y = np.array([index[a] for a in actual])
+    scores, y = classifiers.probability_table(scores, actual, classes)
     total_support = 0
     weighted = 0.0
     for c in range(len(classes)):
@@ -213,9 +192,10 @@ def auc(scores, actual, classes: list[str]) -> float:
 
 def mean_log_loss(scores, actual, classes: list[str]) -> float:
     """Mean clipped cross-entropy of the actual class probabilities."""
-    scores = _score_table(scores, actual, classes)
-    return float(np.mean(
-        classifiers.cross_entropy_losses(scores, actual, classes)))
+    losses = classifiers.cross_entropy_losses(scores, actual, classes)
+    if not losses:
+        raise ValueError("log loss of an empty table is undefined")
+    return float(np.mean(losses))
 
 
 def regression_errors(actual, predicted) -> tuple[float, float, float]:
@@ -228,6 +208,9 @@ def regression_errors(actual, predicted) -> tuple[float, float, float]:
     yhat = np.asarray(predicted, dtype=np.float64)
     if y.size == 0 or y.shape != yhat.shape:
         raise ValueError("actual and predicted must be nonempty equal-length")
+    for name, values in (("actual", y), ("predicted", yhat)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} values must be finite")
     sse = float(((y - yhat) ** 2).sum())
     sst = float(((y - y.mean()) ** 2).sum())
     if sst == 0.0:
@@ -445,6 +428,8 @@ def compare_models(fold_scores: list[FoldScores]) -> tuple[list[str], np.ndarray
             raise ValueError("all models must share the compared metric")
         if fs.values.size != k:
             raise ValueError("all models must share the fold count k")
+    if k == 0:
+        raise ValueError("fold scores hold no folds")
     names = [fs.model for fs in fold_scores]
     matrix = np.full((len(names), len(names)), np.nan)
     for i in range(len(names)):

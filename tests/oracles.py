@@ -467,6 +467,13 @@ def regression_ref(actual, predicted):
     return sse, sst, r2
 
 
+def fold_win_ref(a_values, b_values):
+    """Fraction of folds where model A's value exceeds B's, ties half."""
+    wins = sum(1 for a, b in zip(a_values, b_values) if a > b)
+    ties = sum(1 for a, b in zip(a_values, b_values) if a == b)
+    return (wins + 0.5 * ties) / len(a_values)
+
+
 # ---------------------------------------------------------------------------
 # Finite differences
 
@@ -657,6 +664,38 @@ def linkage_oracle(dist, linkage):
         clusters[next_id] = clusters.pop(a) + clusters.pop(b)
         next_id += 1
     return merges
+
+
+def zscore_euclidean_ref(rows):
+    """Full euclidean distance matrix of the rows after z-scoring every
+    column by its mean and population standard deviation; a column whose
+    values are all equal becomes all zeros."""
+    n = len(rows)
+    columns = []
+    for col in zip(*rows):
+        if min(col) == max(col):
+            columns.append([0.0] * n)
+            continue
+        mean = math.fsum(col) / n
+        sd = math.sqrt(math.fsum((v - mean) ** 2 for v in col) / n)
+        columns.append([(v - mean) / sd for v in col])
+    z = list(zip(*columns))
+    return [[math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(z[i], z[j])))
+             for j in range(n)] for i in range(n)]
+
+
+def cut_ref(merges, n, count):
+    """Cluster index per leaf after undoing the last count - 1 of the
+    (left, right, height, new_id) merges; clusters are numbered in order of
+    their smallest leaf."""
+    members = {i: [i] for i in range(n)}
+    for left, right, _, new_id in merges[: n - count]:
+        members[new_id] = members.pop(left) + members.pop(right)
+    labels = [0] * n
+    for c, group in enumerate(sorted(members.values(), key=min)):
+        for leaf in group:
+            labels[leaf] = c
+    return labels
 
 
 def lance_williams_scan(dist, linkage):

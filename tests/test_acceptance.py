@@ -54,9 +54,13 @@ from oracles import (
     auc_pairs_ref,
     auc_trapezoid_ref,
     best_root_split_ref,
+    confusion_ref,
+    cut_ref,
+    fold_win_ref,
     linkage_oracle,
     log_loss_ref,
     mcc_cov_ref,
+    parse_newick,
     prim_mst_weights,
     purity_ref,
     regression_ref,
@@ -64,7 +68,9 @@ from oracles import (
     uniform_from_u64,
     weighted_auc_ref,
     weighted_prf_ref,
+    zscore_euclidean_ref,
 )
+from test_cli import pipeline  # noqa: F401  (the small CLI run's fixture)
 
 REPORT_HEADER = ["model", "auc", "ca", "f1", "precision", "recall", "mcc",
                  "specificity", "log_loss"]
@@ -496,3 +502,160 @@ def test_a8_degenerate_inputs():
         regression_errors([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
     assert info.value.sse == 2.0
     assert info.value.sst == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Every evaluate and cluster artefact of both pipeline runs against the
+# oracles.  The checking side reads files only and shares no package code.
+
+
+def _metadata(path):
+    with open(path) as handle:
+        return dict(line[2:].rstrip("\n").split(": ", 1)
+                    for line in handle if line.startswith("# "))
+
+
+def _oracle_suite(rows, classes):
+    """The metric suite of (actual, predicted, probabilities) rows."""
+    actual = [r[0] for r in rows]
+    probs = [r[2] for r in rows]
+    counts = confusion_ref(actual, [r[1] for r in rows], classes)
+    precision, recall, specificity, f1 = weighted_prf_ref(counts)
+    return {
+        "auc": weighted_auc_ref(probs, actual, classes),
+        "ca": accuracy_ref(counts), "f1": f1, "precision": precision,
+        "recall": recall, "specificity": specificity,
+        "mcc": mcc_cov_ref(counts),
+        "log_loss": log_loss_ref(probs, actual, classes),
+    }
+
+
+def _check_reports(features, reports):
+    labels = {r[0]: r[1] for r in _read_rows(features)[1:]}
+    folds = _read_rows(reports / "folds.csv")
+    assert folds[0] == ["id", "fold"]
+    assert [r[0] for r in folds[1:]] == list(labels)
+    fold_of = [int(r[1]) for r in folds[1:]]
+    scores = _read_rows(reports / "fold_scores.csv")
+    k = len(scores[0]) - 2
+    by_class = {}
+    for label, fold in zip(labels.values(), fold_of):
+        by_class.setdefault(label, [0] * k)[fold] += 1
+    for per_fold in by_class.values():
+        assert max(per_fold) - min(per_fold) <= 1, per_fold
+    fold_scores = {(r[0], r[1]): [float(v) for v in r[2:]] for r in scores[1:]}
+    report = _read_rows(reports / "report.csv")
+    assert report[0] == REPORT_HEADER
+
+    for row in report[1:]:
+        model = row[0]
+        table = _read_rows(reports / f"predictions_{model}.csv")
+        classes = [c[2:] for c in table[0][4:]]
+        assert table[0] == ["id", "fold", "actual", "predicted",
+                            *(f"p_{c}" for c in classes)]
+        assert [r[:3] for r in table[1:]] == [
+            [i, str(f), labels[i]] for i, f in zip(labels, fold_of)]
+        rows = [(r[2], r[3], [float(v) for v in r[4:]]) for r in table[1:]]
+        for _, predicted, probs in rows:
+            assert predicted == classes[probs.index(max(probs))]
+
+        pooled = _oracle_suite(rows, classes)
+        for name, cell in zip(REPORT_HEADER[1:], row[1:]):
+            assert abs(float(cell) - pooled[name]) <= 1e-12, (model, name)
+        per_fold = [_oracle_suite([r for r, f in zip(rows, fold_of) if f == j],
+                                  classes) for j in range(k)]
+        for name in pooled:
+            got = fold_scores[(model, name)]
+            for j, suite in enumerate(per_fold):
+                assert abs(got[j] - suite[name]) <= 1e-12, (model, name, j)
+
+        counts = confusion_ref([r[0] for r in rows], [r[1] for r in rows],
+                               classes)
+        confusion = _read_rows(reports / f"confusion_{model}.csv")
+        assert confusion[0] == ["counts", *classes]
+        assert confusion[len(classes) + 1] == ["proportions", *classes]
+        for c, name in enumerate(classes):
+            assert confusion[1 + c] == [name, *map(str, counts[c])]
+            total = sum(counts[c])
+            proportions = confusion[len(classes) + 2 + c]
+            assert proportions[0] == name
+            assert [float(v) for v in proportions[1:]] == [
+                v / total if total else 0.0 for v in counts[c]]
+
+    models = [r[0] for r in report[1:]]
+    for metric in COMPARISON_FILES:
+        table = _read_rows(reports / f"comparison_{metric}.csv")
+        assert table[0] == ["model", *models]
+        for a, row in zip(models, table[1:]):
+            assert row[0] == a
+            for b, cell in zip(models, row[1:]):
+                if a == b:
+                    assert cell == ""
+                    continue
+                want = fold_win_ref(fold_scores[(a, metric)],
+                                    fold_scores[(b, metric)])
+                assert abs(float(cell) - want) <= 1e-12, (metric, a, b)
+
+
+def _check_clusters(features, clusters):
+    table = _read_rows(features)
+    ids = [r[0] for r in table[1:]]
+    n = len(ids)
+    meta = _metadata(clusters / "distances.csv")
+    assert (meta["metric"], meta["normalize"]) == ("euclidean", "true")
+    want = zscore_euclidean_ref([[float(v) for v in r[2:]] for r in table[1:]])
+    rows = _read_rows(clusters / "distances.csv")
+    assert rows[0] == ["id", *ids]
+    assert [r[0] for r in rows[1:]] == ids
+    dist = [[float(v) for v in r[1:]] for r in rows[1:]]
+    for i in range(n):
+        for j in range(n):
+            assert abs(dist[i][j] - want[i][j]) <= 1e-12 * max(1.0, want[i][j])
+
+    merges = linkage_oracle(dist, meta["linkage"])
+    members = {i: frozenset([i]) for i in range(n)}
+    height = {frozenset([i]): 0.0 for i in range(n)}
+    children = {}
+    for left, right, h, new_id in merges:
+        members[new_id] = members[left] | members[right]
+        height[members[new_id]] = h
+        children[members[new_id]] = (members[left], members[right])
+
+    # Every Newick node is an oracle merge with the same ordered children,
+    # and each branch is the drop in oracle height, to its six decimals.
+    position = {name: i for i, name in enumerate(ids)}
+    seen = []
+
+    def leaves(node):
+        payload, _ = node
+        if isinstance(payload, str):
+            return frozenset([position[payload]])
+        sides = tuple(leaves(child) for child in payload)
+        whole = frozenset().union(*sides)
+        assert children[whole] == sides
+        for side, (_, length) in zip(sides, payload):
+            assert abs(length - (height[whole] - height[side])) <= 5e-7 + 1e-9
+        seen.append(whole)
+        return whole
+
+    tree = parse_newick((clusters / "dendrogram.nwk").read_text())
+    assert leaves(tree) == frozenset(range(n)) and tree[1] is None
+    assert len(seen) == n - 1
+
+    assigned = _read_rows(clusters / "clusters.csv")
+    assert [r[0] for r in assigned[1:]] == ids
+    count = int(_metadata(clusters / "clusters.csv")["clusters"])
+    assert [int(r[1]) for r in assigned[1:]] == cut_ref(merges, n, count)
+
+
+@pytest.mark.parametrize("run", ["pipeline", "corpus"])
+def test_artefacts_match_the_oracles(run, request):
+    paths = request.getfixturevalue(run)
+    if run == "pipeline":
+        paths = SimpleNamespace(features=paths / "features.csv",
+                                reports=paths / "reports",
+                                clusters=paths / "clusters")
+    start = time.perf_counter()
+    _check_reports(paths.features, paths.reports)
+    _check_clusters(paths.features, paths.clusters)
+    assert time.perf_counter() - start < 10.0

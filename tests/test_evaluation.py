@@ -292,10 +292,36 @@ def test_mean_log_loss_matches_the_row_helper_bit_for_bit():
     ([[0.5, 0.5], [math.nan, 0.5]], ["a", "b"]),
 ], ids=["sum-first", "same-row", "label-first", "nan"])
 def test_mean_log_loss_raises_what_the_first_bad_row_raises(rows, actual):
+    # auc shares the table check, so it raises the same first error.
     with pytest.raises(ValueError) as want:
         _row_losses(np.array(rows), actual, ["a", "b"])
-    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-        mean_log_loss(np.array(rows), actual, ["a", "b"])
+    for metric in (mean_log_loss, auc):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(want.value))}$"):
+            metric(np.array(rows), actual, ["a", "b"])
+
+
+def test_mean_log_loss_of_an_empty_table_raises():
+    with pytest.raises(ValueError, match="empty table"):
+        mean_log_loss(np.empty((0, 2)), [], ["a", "b"])
+
+
+_THIRDS = np.full((2, 3), 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: confusion_matrix(["a", "b"], ["a", "a"], c),
+    lambda c: auc(_THIRDS, ["a", "b"], c),
+    lambda c: mean_log_loss(_THIRDS, ["a", "b"], c),
+    lambda c: cross_entropy_loss(_THIRDS[0], "a", c),
+    lambda c: LabeledDataset(FeatureMatrix(
+        ["r0", "r1"], ["a", "b"], ["c0"], np.zeros((2, 1))), c),
+], ids=["confusion_matrix", "auc", "mean_log_loss", "cross_entropy_loss",
+        "LabeledDataset"])
+def test_repeated_class_names_are_rejected(call):
+    # A repeated name would give a label two columns to choose from.
+    with pytest.raises(ValueError, match="class names must be unique"):
+        call(["a", "b", "a"])
 
 
 def test_mean_log_loss_uniform_binary():
@@ -328,6 +354,11 @@ def test_regression_sst_zero_is_signaled():
         regression_errors([1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         regression_errors([], [])
+    # A NaN would make all three values NaN without a word.
+    with pytest.raises(ValueError, match="^actual values must be finite$"):
+        regression_errors([1.0, math.nan, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="^predicted values must be finite$"):
+        regression_errors([1.0, 2.0, 3.0], [1.0, math.inf, 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +401,10 @@ def test_compare_models_validation():
         compare_models([a, FoldScores("B", "auc", np.array([0.5, 0.5]))])
     with pytest.raises(ValueError):
         compare_models([a, FoldScores("B", "ca", np.array([0.5]))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no fold scores"):
         compare_models([])
+    with pytest.raises(ValueError, match="no folds"):
+        compare_models([FoldScores("A", "auc", []), FoldScores("B", "auc", [])])
     with pytest.raises(ValueError):
         FoldScores("A", "ca", np.array([np.nan]))
 
