@@ -385,24 +385,31 @@ def _best_split(X, y, counts, min_leaf, parent_impurity):
     return best_decrease, best_feature, best_threshold
 
 
-def _grow(X, y, k, depth, max_depth, min_leaf):
-    n = X.shape[0]
-    counts = np.bincount(y, minlength=k)
-    leaf = TreeNode(n=n, counts=counts, probs=counts / n)
-    if depth >= max_depth or int(counts.max()) == n or n < 2 * min_leaf:
-        return leaf
-    impurity = 1.0 - ((counts / n) ** 2).sum()
-    decrease, feature, threshold = _best_split(X, y, counts, min_leaf, impurity)
-    if feature is None or decrease <= 0.0:
-        return leaf
-    mask = X[:, feature] <= threshold
-    return TreeNode(
-        n=n,
-        feature=feature,
-        threshold=threshold,
-        left=_grow(X[mask], y[mask], k, depth + 1, max_depth, min_leaf),
-        right=_grow(X[~mask], y[~mask], k, depth + 1, max_depth, min_leaf),
-    )
+def _grow(X, y, k, max_depth, min_leaf):
+    """The tree over rows X with class indices y, grown from an explicit
+    stack of nodes to fill, so no recursion limit bounds its depth.  A node
+    splits unless it is at max_depth, pure, below 2 * min_leaf rows or
+    without a split of positive decrease; otherwise it is a leaf."""
+    root = TreeNode(n=X.shape[0])
+    stack = [(root, X, y, 0)]
+    while stack:
+        node, X, y, depth = stack.pop()
+        n = node.n
+        counts = np.bincount(y, minlength=k)
+        if depth < max_depth and int(counts.max()) < n and n >= 2 * min_leaf:
+            impurity = 1.0 - ((counts / n) ** 2).sum()
+            decrease, feature, threshold = _best_split(
+                X, y, counts, min_leaf, impurity)
+            if feature is not None and decrease > 0.0:
+                mask = X[:, feature] <= threshold
+                node.feature, node.threshold = feature, threshold
+                node.left = TreeNode(n=int(mask.sum()))
+                node.right = TreeNode(n=n - node.left.n)
+                stack += [(node.right, X[~mask], y[~mask], depth + 1),
+                          (node.left, X[mask], y[mask], depth + 1)]
+                continue
+        node.counts, node.probs = counts, counts / n
+    return root
 
 
 def train_tree(ds: LabeledDataset, cfg: TrainConfig | None = None) -> TreeModel:
@@ -418,7 +425,7 @@ def fit_tree(X, y, class_names: list[str], cfg: TrainConfig | None = None) -> Tr
     _check_finite(X)
     max_depth = cfg.resolved("max_depth", TREE_DEFAULTS)
     min_leaf = cfg.resolved("min_leaf", TREE_DEFAULTS)
-    root = _grow(X, y, len(class_names), 0, max_depth, min_leaf)
+    root = _grow(X, y, len(class_names), max_depth, min_leaf)
     return TreeModel(list(class_names), X.shape[1], root, max_depth, min_leaf)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMatrix, zscore_normalize
-from .fmt import float_line, write_csv, write_lines
+from .fmt import csv_line, write_csv
 from .parallel import split_map
 
 METRICS = ("euclidean", "cosine")
@@ -393,10 +393,10 @@ def write_distance_csv(
 
     def line(i):
         row = _square_row(d.condensed, start, above, i, 0.0)
-        return float_line([ids[i]], row)
+        return csv_line([ids[i]], row)
 
     with closing(split_map(line, range(d.n))) as lines:
-        write_lines(path, ["id", *ids], lines, metadata)
+        write_csv(path, ["id", *ids], lines, metadata)
 
 
 def write_assignment_csv(
@@ -406,4 +406,4 @@ def write_assignment_csv(
     if len(ids) != assignment.labels.size:
         raise ValueError("ids must cover every row")
     rows = ([row_id, int(label)] for row_id, label in zip(ids, assignment.labels))
-    write_csv(path, ["id", "cluster"], rows, metadata)
+    write_csv(path, ["id", "cluster"], map(csv_line, rows), metadata)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMatrix, read_features_csv
-from .fmt import write_csv
+from .fmt import csv_line, write_csv
 from .rng import SplitMix64, shuffled_indices
 
 
@@ -137,4 +137,4 @@ def write_folds_csv(
     if len(ids) != assignment.fold_of.size:
         raise ValueError("ids and fold assignment must have equal length")
     rows = ([row_id, int(fold)] for row_id, fold in zip(ids, assignment.fold_of))
-    write_csv(path, ["id", "fold"], rows, metadata)
+    write_csv(path, ["id", "fold"], map(csv_line, rows), metadata)

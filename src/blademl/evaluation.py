@@ -19,7 +19,7 @@ from . import classifiers
 from .classifiers import TrainConfig
 from .dataset import FoldAssignment, LabeledDataset, class_indices
 from .features import NormalizationParams
-from .fmt import fmt17, write_csv
+from .fmt import csv_line, fmt17, write_csv
 from .parallel import split_map
 
 METRIC_NAMES = (
@@ -176,6 +176,8 @@ def auc(scores, actual, classes: list[str]) -> float:
     if no class is valid the AUC is undefined and an error is raised.
     """
     scores, y = classifiers.probability_table(scores, actual, classes)
+    if not y.size:
+        raise ValueError("AUC of an empty table is undefined")
     total_support = 0
     weighted = 0.0
     for c in range(len(classes)):
@@ -452,25 +454,25 @@ def write_report_csv(report: EvaluationReport, path, metadata=None) -> None:
     """`model,auc,ca,f1,precision,recall,mcc,specificity,log_loss` rows."""
     header = ["model", "auc", "ca", "f1", "precision", "recall", "mcc",
               "specificity", "log_loss"]
-    rows = (
-        [name, *(fmt17(getattr(report.suites[name], metric))
-                 for metric in header[1:])]
+    lines = (
+        csv_line([name], [getattr(report.suites[name], metric)
+                          for metric in header[1:]])
         for name in report.model_names
     )
-    write_csv(path, header, rows, metadata)
+    write_csv(path, header, lines, metadata)
 
 
 def write_confusion_csv(cm: ConfusionMatrix, path, metadata=None) -> None:
     """Counts block then row-proportion block, class names as headers."""
     proportions = cm.proportions
-    rows = [
-        *([name, *(int(v) for v in cm.counts[i])]
+    lines = [
+        *(csv_line([name, *cm.counts[i].tolist()])
           for i, name in enumerate(cm.classes)),
-        ["proportions", *cm.classes],
-        *([name, *(fmt17(v) for v in proportions[i])]
+        csv_line(["proportions", *cm.classes]),
+        *(csv_line([name], proportions[i])
           for i, name in enumerate(cm.classes)),
     ]
-    write_csv(path, ["counts", *cm.classes], rows, metadata)
+    write_csv(path, ["counts", *cm.classes], lines, metadata)
 
 
 def write_predictions_csv(
@@ -481,23 +483,22 @@ def write_predictions_csv(
     predicted = report.predicted[model_name]
     header = ["id", "fold", "actual", "predicted",
               *(f"p_{c}" for c in report.class_names)]
-    rows = (
-        [row_id, int(report.folds.fold_of[i]), report.actual[i],
-         predicted[i], *(fmt17(v) for v in probs[i])]
+    lines = (
+        csv_line([row_id, int(report.folds.fold_of[i]), report.actual[i],
+                  predicted[i]], probs[i])
         for i, row_id in enumerate(report.ids)
     )
-    write_csv(path, header, rows, metadata)
+    write_csv(path, header, lines, metadata)
 
 
 def write_fold_scores_csv(report: EvaluationReport, path, metadata=None) -> None:
     """One row per (model, metric) with k per-fold value columns."""
     header = ["model", "metric", *(f"fold{j}" for j in range(report.folds.k))]
-    rows = (
-        [name, metric,
-         *(fmt17(v) for v in report.fold_scores[(name, metric)].values)]
+    lines = (
+        csv_line([name, metric], report.fold_scores[(name, metric)].values)
         for name in report.model_names for metric in METRIC_NAMES
     )
-    write_csv(path, header, rows, metadata)
+    write_csv(path, header, lines, metadata)
 
 
 def write_comparison_csv(
@@ -509,4 +510,4 @@ def write_comparison_csv(
                  for j in range(len(names)))]
         for i, name in enumerate(names)
     )
-    write_csv(path, ["model", *names], rows, metadata)
+    write_csv(path, ["model", *names], map(csv_line, rows), metadata)

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fmt import iter_csv, write_float_rows
+from .fmt import csv_line, iter_csv, write_csv
 
 if TYPE_CHECKING:
     from .raster import Raster
@@ -180,12 +180,14 @@ def write_features_csv(m: FeatureMatrix, path, metadata: dict | None = None) -> 
     """Write `id,label,<columns...>` CSV with 17-significant-digit values.
 
     Optional metadata is emitted first as `# key: value` comment lines so
-    every output file records how it was produced.
+    every output file records how it was produced.  A matrix without value
+    columns raises before the file is opened.
     """
+    if not m.columns:
+        raise ValueError("float rows need at least one value column")
     labels = m.labels if m.labels is not None else [""] * m.n
-    write_float_rows(
-        path, ["id", "label", *m.columns], zip(m.ids, labels), m.values, metadata
-    )
+    lines = map(csv_line, zip(m.ids, labels), m.values)
+    write_csv(path, ["id", "label", *m.columns], lines, metadata)
 
 
 def read_features_csv(path, value_columns: bool = True) -> FeatureMatrix:

@@ -20,66 +20,52 @@ def metadata_lines(metadata: dict | None) -> str:
     return "".join(f"# {key}: {value}\n" for key, value in (metadata or {}).items())
 
 
-def _csv_row(cells) -> str:
-    """One CSV row ending in `\n`.
+def csv_line(cells, reals=()) -> str:
+    """One CSV line ending in `\n`: the cells, then the reals at 17
+    significant digits.
 
     csv.writer quotes a cell that holds a character of its line terminator,
-    so the row is written with `\r\n` (a cell holding `\r` or `\n` is
-    quoted) and that terminator is swapped for `\n`.
+    so the cells are written with `\r\n` (a cell holding `\r` or `\n` is
+    quoted) and that terminator is swapped for `\n`.  The reals, a sequence
+    or a 1-D array, are formatted by one `%` template into fmt17's strings.
     """
+    if hasattr(reals, "tolist"):
+        reals = reals.tolist()
     line = io.StringIO()
-    csv.writer(line, lineterminator="\r\n").writerow(cells)
-    return line.getvalue()[:-2] + "\n"
+    # Before reals, an empty last cell puts the comma before them and keeps
+    # a lone empty cell from being written as `""`.
+    csv.writer(line, lineterminator="\r\n").writerow(
+        [*cells, ""] if reals else cells)
+    template = ",".join(["%.17g"] * len(reals)) + "\n"
+    return line.getvalue()[:-2] + template % tuple(reals)
 
 
-def write_lines(path, header, lines, metadata: dict | None = None) -> None:
-    """Write metadata lines, the header row and the given data lines, each
-    ending in `\n`, to path."""
+def write_csv(path, header, lines, metadata: dict | None = None) -> None:
+    """Write metadata lines, the header row and the given csv_line lines
+    to path."""
     with open(path, "w", newline="") as handle:
         handle.write(metadata_lines(metadata))
-        handle.write(_csv_row(header))
+        handle.write(csv_line(header))
         handle.writelines(lines)
-
-
-def write_csv(path, header, rows, metadata: dict | None = None) -> None:
-    """Write metadata lines, the header row and the data rows to path."""
-    write_lines(path, header, map(_csv_row, rows), metadata)
-
-
-def float_line(key, row) -> str:
-    """One data line: the key cells, then the reals of the 1-D array row,
-    formatted by one `%` template into fmt17's strings."""
-    template = ",".join(["%.17g"] * len(row)) + "\n"
-    # The empty last cell puts the comma before the values and keeps a lone
-    # empty key from being written as `""`; [:-1] drops the "\n".
-    return _csv_row([*key, ""])[:-1] + template % tuple(row.tolist())
-
-
-def write_float_rows(path, header, keys, rows, metadata: dict | None = None) -> None:
-    """write_csv for rows of key cells then reals: data line i is
-    float_line(keys[i], rows[i]).
-
-    rows may be a 2-D array or any iterable of equal-length 1-D arrays; the
-    first row is drawn before the file is opened, so a row without values
-    raises without leaving a file.
-    """
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is not None and len(first) == 0:
-        raise ValueError("float rows need at least one value column")
-    rows = () if first is None else itertools.chain([first], rows)
-    write_lines(path, header, map(float_line, keys, rows), metadata)
 
 
 def iter_csv(path):
     """Yield the rows of a CSV artefact, header first, as they are read.
 
     `#` lines are metadata only before the header; a later row that starts
-    with `#` is data.
+    with `#` is data.  A row csv cannot read (a cell over its field size
+    limit) raises ValueError naming the file and the header or data row.
     """
     with open(path, "r", newline="") as handle:
         lines = itertools.dropwhile(lambda line: line.startswith("#"), handle)
-        yield from csv.reader(lines)
+        read = 0  # rows yielded: the header is row 0, data row i is row i
+        try:
+            for row in csv.reader(lines):
+                yield row
+                read += 1
+        except csv.Error as exc:
+            where = f"data row {read}" if read else "the header"
+            raise ValueError(f"{path}: {exc} on {where}") from exc
 
 
 def render_json(obj, indent: int = 0) -> str:

@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .fmt import write_csv
+from .fmt import csv_line, write_csv
 from .parallel import split_map
 from .raster import Raster, write_ppm
 from .rng import SplitMix64, index_below
@@ -222,6 +222,6 @@ def generate_dataset(cfg: GenConfig, out_dir) -> list[tuple[str, str]]:
         "seed": cfg.seed,
         "size": f"{cfg.width}x{cfg.height}",
     }
-    write_csv(os.path.join(out_dir, "labels.csv"), ["id", "label"], entries,
-              metadata)
+    write_csv(os.path.join(out_dir, "labels.csv"), ["id", "label"],
+              map(csv_line, entries), metadata)
     return entries

@@ -394,6 +394,24 @@ def _depth(node):
     return 0 if node.is_leaf else 1 + max(_depth(node.left), _depth(node.right))
 
 
+def test_tree_grows_deeper_than_the_recursion_limit():
+    # Labels alternating along one column: each split peels one row off an
+    # end, so the tree is a chain about as deep as it has rows.
+    n = 1500
+    X = np.arange(n, dtype=np.float64)[:, None]
+    y = np.arange(n) % 2
+    model = classifiers.fit_tree(X, y, ["a", "b"],
+                                 TrainConfig(max_depth=n, min_leaf=1))
+    depth, stack = 0, [(model.root, 0)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        if not node.is_leaf:
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+    assert depth >= 1000
+    assert np.array_equal(model.predict_proba(X).argmax(axis=1), y)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_tree_predict_matches_reference_walk(seed):
     # Integer features put every midpoint threshold on a half-integer, so

@@ -593,6 +593,9 @@ def bad(tmp_path_factory):
     (root / "dup-id.csv").write_text("id,label,c0\nr0,a,1\nr1,b,2\nr0,a,3\n")
     (root / "short-row.csv").write_text("id,label,c0\nr0,a,1\nr1,b\n")
     (root / "non-numeric.csv").write_text("id,label,c0\nr0,a,1\nr1,b,x\n")
+    # A cell over csv's field size limit of 131,072 characters.
+    (root / "long-cell.csv").write_text(
+        "id,label,c0\nr0,a,1\nr1,b," + "1" * 200_000 + "\n")
     (root / "no-values.csv").write_text("id,label\nr0,a\nr1,b\n")
     (root / "huge-cell.csv").write_text(
         "id,label,c0,f003\nr0,a,0,0\nr1,b,1,0.5\nr2,a,2,1\nr3,b,3,1e200\n")
@@ -709,6 +712,7 @@ READ_DEFECTS = [
     ("dup-id", "duplicate id 'r0' on data rows 1 and 3"),
     ("short-row", "wrong column count on data row 2 (2 cells, expected 3)"),
     ("non-numeric", "non-numeric value on data row 2"),
+    ("long-cell", "field larger than field limit (131072) on data row 2"),
     ("no-values", "header row has no value column after id,label"),
     ("huge-cell", "column f003: a magnitude of 2.37e+153 or more can overflow "
      "the mean or sd of 4 rows"),
@@ -721,7 +725,7 @@ EXIT_CASES += [
      f"error: {{bad}}/{defect}.csv: {message}\n")
     for stage, argv, defects in [
         ("features", ("features", "--images", "{bad}", "--out", "{csv}",
-                      "--labels"), READ_DEFECTS[:4]),
+                      "--labels"), READ_DEFECTS[:5]),
         ("evaluate", EVALUATE + ("--features",), READ_DEFECTS),
         ("cluster", CLUSTER + ("--features",), READ_DEFECTS),
     ]

@@ -301,9 +301,10 @@ def test_mean_log_loss_raises_what_the_first_bad_row_raises(rows, actual):
             metric(np.array(rows), actual, ["a", "b"])
 
 
-def test_mean_log_loss_of_an_empty_table_raises():
+@pytest.mark.parametrize("metric", [mean_log_loss, auc])
+def test_mean_log_loss_of_an_empty_table_raises(metric):
     with pytest.raises(ValueError, match="empty table"):
-        mean_log_loss(np.empty((0, 2)), [], ["a", "b"])
+        metric(np.empty((0, 2)), [], ["a", "b"])
 
 
 _THIRDS = np.full((2, 3), 1.0 / 3.0)

@@ -17,7 +17,7 @@ from blademl.features import (
     write_features_csv,
     zscore_normalize,
 )
-from blademl.fmt import iter_csv, render_json, write_csv, write_float_rows
+from blademl.fmt import csv_line, iter_csv, render_json, write_csv
 from blademl.raster import Raster
 from blademl.rng import SplitMix64
 from blademl.synthgen import CLASS_NAMES, generate_image
@@ -309,6 +309,11 @@ def test_features_csv_rejects_malformed(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_features_csv(path)
+    # A cell over csv's field size limit, here in the header.
+    path.write_text("# m: x\nid,label," + "c" * 200_000 + "\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: field larger than field "
+                                         r"limit \(131072\) on the header"):
+        read_features_csv(path)
     path.write_text("id,label,c0\nr0,a,1\n,b,2\n")
     with pytest.raises(ValueError, match=r"bad\.csv: missing id on data row 2"):
         read_features_csv(path)
@@ -369,7 +374,8 @@ def test_csv_writers_round_trip_carriage_return(tmp_path):
     # csv.writer with a `\n` line terminator quotes `\n` but not `\r`; an
     # unquoted `\r` inside a cell ends the row when the file is read back.
     ids = ["x\ry", "b"]
-    write_csv(tmp_path / "plain.csv", ["id", "n"], [[ids[0], 1], [ids[1], 2]])
+    write_csv(tmp_path / "plain.csv", ["id", "n"],
+              map(csv_line, [[ids[0], 1], [ids[1], 2]]))
     assert list(iter_csv(tmp_path / "plain.csv")) == [
         ["id", "n"], ["x\ry", "1"], ["b", "2"],
     ]
@@ -415,10 +421,11 @@ def test_features_csv_rejects_zero_columns(tmp_path):
     assert not (tmp_path / "f.csv").exists()
 
 
-def test_float_rows_without_rows_write_the_header_only(tmp_path):
+def test_features_csv_without_rows_writes_the_header_only(tmp_path):
     path = tmp_path / "f.csv"
-    write_float_rows(path, ["id", "c0"], [], np.empty((0, 1)), {"m": "x"})
-    assert path.read_text() == "# m: x\nid,c0\n"
+    m = FeatureMatrix([], None, ["c0"], np.empty((0, 1)))
+    write_features_csv(m, path, {"m": "x"})
+    assert path.read_text() == "# m: x\nid,label,c0\n"
 
 
 def test_render_json_rejects_non_finite():

@@ -35,22 +35,41 @@ def test_public_exports_are_pinned():
     assert sorted(blademl.__all__) == EXPORTS
 
 
-def test_imports_stay_within_stdlib_and_numpy():
-    # numpy is the only third-party dependency; a relative import
-    # (level > 0) stays inside the package.
-    allowed = set(sys.stdlib_module_names) | {"numpy", "blademl"}
-    outside = []
+def _package_nodes():
+    """(file name, node) for every AST node of every package module."""
     for path in sorted(Path(blademl.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            outside += [f"{path.name}:{node.lineno}: {name}" for name in names
-                        if name.split(".")[0] not in allowed]
+            yield path.name, node
+
+
+def _top_imports(node):
+    """The top-level names of the modules an import node imports; none for
+    any other node or a relative import (level > 0), which stays inside the
+    package."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []
+
+
+def test_imports_stay_within_stdlib_and_numpy():
+    # numpy is the only third-party dependency.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "blademl"}
+    outside = [f"{name}:{node.lineno}: {module}"
+               for name, node in _package_nodes()
+               for module in _top_imports(node) if module not in allowed]
     assert outside == []
+
+
+def test_csv_is_written_in_fmt_alone():
+    # fmt.csv_line writes every CSV line: no other module imports csv or
+    # holds the `17g` real format, so no second writer can come back.
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if name != "fmt.py" and (
+                 "csv" in _top_imports(node)
+                 or isinstance(node, ast.Constant) and "17g" in str(node.value))]
+    assert found == []
 
 
 def _fresh_python(script, env=None):
