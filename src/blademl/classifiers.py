@@ -386,10 +386,8 @@ def _best_split(X, y, counts, min_leaf, parent_impurity):
 
 
 def _grow(X, y, k, max_depth, min_leaf):
-    """The tree over rows X with class indices y, grown from an explicit
-    stack of nodes to fill, so no recursion limit bounds its depth.  A node
-    splits unless it is at max_depth, pure, below 2 * min_leaf rows or
-    without a split of positive decrease; otherwise it is a leaf."""
+    """The tree over rows X with class indices y, grown from a stack of
+    nodes to fill, so no recursion limit bounds its depth."""
     root = TreeNode(n=X.shape[0])
     stack = [(root, X, y, 0)]
     while stack:

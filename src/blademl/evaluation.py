@@ -3,8 +3,8 @@
 The evaluator trains every requested model on the identical fold assignment
 and pools out-of-fold probability predictions.  Pooled predictions feed the
 confusion matrix and the headline metric suite; per-fold scores feed the
-pairwise model-comparison matrices (fraction of folds where the row model
-beats the column model, ties counted half).
+pairwise model-comparison matrices (fraction of folds where the row model's
+value is higher, ties counted half; for log loss, higher is worse).
 """
 
 from __future__ import annotations
@@ -417,6 +417,8 @@ def cross_validate(
 def compare_models(fold_scores: list[FoldScores]) -> tuple[list[str], np.ndarray]:
     """Pairwise fold-win matrix: entry (A, B) = (wins + 0.5 ties) / k.
 
+    A wins a fold when its value is higher than B's, whatever the metric:
+    for log loss, entry (A, B) counts the folds where A did worse.
     Computed once per unordered pair and mirrored as 1 - p, so
     entry(A, B) + entry(B, A) = 1 holds exactly.  Diagonal entries are NaN
     (rendered empty in CSV output).

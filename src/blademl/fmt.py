@@ -1,7 +1,7 @@
 """Text serialization helpers shared by the CSV and JSON writers.
 
 Every CSV artefact has one layout: optional `# key: value` metadata lines,
-then a header row, then data rows, all with `\n` line ends.
+then a header row and data rows, each a csv_line ending in `\n`.
 """
 
 import csv
@@ -21,13 +21,12 @@ def metadata_lines(metadata: dict | None) -> str:
 
 
 def csv_line(cells, reals=()) -> str:
-    """One CSV line ending in `\n`: the cells, then the reals at 17
-    significant digits.
+    """One CSV line ending in `\n`: the cells, then the reals (a sequence
+    or 1-D array) formatted by one `%` template into fmt17's strings.
 
     csv.writer quotes a cell that holds a character of its line terminator,
     so the cells are written with `\r\n` (a cell holding `\r` or `\n` is
-    quoted) and that terminator is swapped for `\n`.  The reals, a sequence
-    or a 1-D array, are formatted by one `%` template into fmt17's strings.
+    quoted) and that terminator is swapped for `\n`.
     """
     if hasattr(reals, "tolist"):
         reals = reals.tolist()
