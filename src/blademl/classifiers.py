@@ -112,7 +112,7 @@ def _check_finite(X: np.ndarray) -> None:
 
 
 def _training_blocks(blocks, class_names: list[str], model: str) -> list:
-    """The (X, y) blocks of one lockstep fit: each X a finite, C-contiguous
+    """The (X, y) blocks of one multi-set fit: each X a finite, C-contiguous
     float64 (m, n, p) array of m training sets, p shared by all blocks, and
     y their (m, n) class indices into class_names."""
     if len(class_names) < 2:
@@ -209,19 +209,20 @@ def logistic_gradient(
 def train_logistics(
     blocks: list, class_names: list[str], cfg: TrainConfig | None = None
 ) -> list[LogisticModel]:
-    """Fit the one-vs-rest models of several training sets in one full-batch
-    gradient-descent loop.
+    """Fit the one-vs-rest models of several training sets by full-batch
+    gradient descent.
 
     `blocks` holds (X, y) pairs, X a float64 (m, n, p) array of m training
     sets and y their (m, n) class indices.  Each block descends as one
-    stack; cross_validate passes one per consecutive run of folds of one
-    training size.  Each (training set, class) problem descends exactly as
-    it would alone: coefficients start at zero and take fixed steps until
-    the gradient infinity-norm drops below the tolerance or the iteration
-    limit is reached.  A problem whose gradient becomes non-finite stops;
-    ValueError then names the first such problem in (training set, class)
-    order at its own iteration, as fitting them one at a time would, as
-    `fold F`, F the set's number in order across the blocks.
+    stack, the blocks one after another; cross_validate passes one per
+    consecutive run of folds of one training size.  Each (training set,
+    class) problem descends exactly as it would alone: coefficients start
+    at zero and take fixed steps until the gradient infinity-norm drops
+    below the tolerance or the iteration limit is reached.  A problem whose
+    gradient becomes non-finite stops; ValueError then names the first such
+    problem in (training set, class) order at its own iteration, as fitting
+    them one at a time would, as `fold F`, F the set's number in order
+    across the blocks.
     """
     cfg = cfg or TrainConfig()
     blocks = _training_blocks(blocks, class_names, "logistic")
@@ -231,29 +232,23 @@ def train_logistics(
     l2 = cfg.resolved("l2", LOGISTIC_DEFAULTS)
 
     k = len(class_names)
-    # Per stack: its first set's number, X, targets, gradient scratch (reused,
-    # as freeing ~100 KB arrays makes glibc trim the heap and fault it back
-    # in each iteration), intercepts, weights and the problems descending.
-    stacks = []
-    firsts = np.cumsum([0] + [len(X) for X, _ in blocks])
-    for first, (X, y) in zip(firsts, blocks):
-        m, n, width = X.shape
-        stacks.append((
-            first,
-            X[:, None],
-            (y[:, None, :] == np.arange(k)[:, None]).astype(np.float64),
-            np.empty((3, m, k, n, 1)),
-            np.zeros((m, k)),
-            np.zeros((m, k, width)),
-            np.ones((m, k), dtype=bool),
-        ))
-    failures = []
+    models = []
     # Divergence is reported by the gradient check, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for iteration in range(limit):
-            for first, X, targets, scratch, intercepts, weights, active in stacks:
+        for X, y in blocks:
+            m, n, width = X.shape
+            X = X[:, None]
+            targets = (y[:, None] == np.arange(k)[:, None]).astype(np.float64)
+            # Gradient scratch, reused: freeing ~100 KB arrays makes glibc
+            # trim the heap and fault it back in each iteration.
+            scratch = np.empty((3, m, k, n, 1))
+            intercepts = np.zeros((m, k))
+            weights = np.zeros((m, k, width))
+            active = np.ones((m, k), dtype=bool)
+            failures = []  # (set number, class, iteration)
+            for iteration in range(limit):
                 if not active.any():
-                    continue
+                    break
                 g0, gw = _stack_logistic_gradients(
                     intercepts, weights, X, targets, l2, scratch
                 )
@@ -262,23 +257,23 @@ def train_logistics(
                 )
                 finite = np.isfinite(norm)
                 for s, c in zip(*np.nonzero(active & ~finite)):
-                    failures.append((first + s, c, iteration + 1))
+                    failures.append((len(models) + s, c, iteration + 1))
                 active &= finite & (norm >= tolerance)
                 # x - 0.0 is x, so stopped problems keep their bits.
                 intercepts -= np.where(active, rate * g0, 0.0)
                 weights -= np.where(active[..., None], rate * gw, 0.0)
-            if not any(stack[-1].any() for stack in stacks):
-                break
-    if failures:
-        fold, c, iteration = min(failures)
-        raise ValueError(
-            f"fold {fold}: logistic gradient for class {class_names[c]!r} "
-            f"became non-finite in iteration {iteration} of {limit}"
-        )
-
-    return [LogisticModel(list(class_names), b.copy(), w.copy())
-            for *_, intercepts, weights, _ in stacks
-            for b, w in zip(intercepts, weights)]
+            # Blocks run in set order, so this block's smallest failing
+            # (set, class) is the smallest of all.
+            if failures:
+                fold, c, iteration = min(failures)
+                raise ValueError(
+                    f"fold {fold}: logistic gradient for class "
+                    f"{class_names[c]!r} became non-finite in iteration "
+                    f"{iteration} of {limit}"
+                )
+            models += [LogisticModel(list(class_names), b.copy(), w.copy())
+                       for b, w in zip(intercepts, weights)]
+    return models
 
 
 def train_logistic(ds: LabeledDataset, cfg: TrainConfig | None = None) -> LogisticModel:
@@ -708,24 +703,19 @@ def train_mlps(
     order = sorted(range(len(sets)), key=lambda i: -len(sets[i][1]))
     counts = [len(sets[i][1]) for i in order]
     k = len(order)
-    longest = counts[0]
     # A network's shuffles depend only on its row count, so networks of
     # equal size share one stream, each starting where init left the rng.
     streams = {n: SplitMix64(rng.state) for n in counts}
     # Runs of steps [start, stop) over which m networks are active.
-    segments = []
-    for t in range(longest):
-        m = sum(n > t for n in counts)
-        if segments and segments[-1][0] == m:
-            segments[-1][2] = t + 1
-        else:
-            segments.append([m, t, t + 1])
+    stops = sorted(set(counts))
+    segments = [(sum(n >= stop for n in counts), start, stop)
+                for start, stop in zip([0, *stops], stops)]
 
     weights = [np.repeat(w[None], k, axis=0) for w in init.weights]
     biases = [np.repeat(b[None, :, None], k, axis=0) for b in init.biases]
     # inputs[t, s] and targets[t, s] hold slot s's row at step t of an epoch.
-    inputs = np.zeros((longest, k, sizes[0], 1))
-    targets = np.zeros((longest, k, len(class_names), 1))
+    inputs = np.zeros((counts[0], k, sizes[0], 1))
+    targets = np.zeros((counts[0], k, len(class_names), 1))
     onehot = np.eye(len(class_names))
     # Divergence is reported by the per-epoch check, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -747,11 +737,9 @@ def train_mlps(
                         ws, activations, pre_activations, probs - target, l2,
                         activation,
                     )
-                    for w, g in zip(ws, grads_w):
+                    for p, g in zip(ws + bs, grads_w + grads_b):
                         g *= rate
-                        w -= g
-                    for b, g in zip(bs, grads_b):
-                        b -= rate * g
+                        p -= g
             finite = np.ones(k, dtype=bool)
             for p in (*weights, *biases):
                 finite &= np.isfinite(p).all(axis=(1, 2))
@@ -781,20 +769,22 @@ def train_mlp(ds: LabeledDataset, cfg: TrainConfig | None = None) -> MlpModel:
 # JSON export
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {
-            "n": node.n,
-            "counts": [int(c) for c in node.counts],
-            "probs": [float(p) for p in node.probs],
-        }
-    return {
-        "n": node.n,
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+def _tree_to_dict(root: TreeNode) -> dict:
+    """The document of the tree under root, filled from a stack of (node,
+    dict) pairs, so no recursion limit bounds its depth."""
+    doc = {}
+    stack = [(root, doc)]
+    while stack:
+        node, out = stack.pop()
+        out["n"] = node.n
+        if node.is_leaf:
+            out["counts"] = [int(c) for c in node.counts]
+            out["probs"] = [float(p) for p in node.probs]
+        else:
+            out.update(feature=int(node.feature),
+                       threshold=float(node.threshold), left={}, right={})
+            stack += [(node.left, out["left"]), (node.right, out["right"])]
+    return doc
 
 
 def model_to_json(model) -> str:
@@ -815,7 +805,7 @@ def model_to_json(model) -> str:
             "feature_count": model.feature_count,
             "max_depth": model.max_depth,
             "min_leaf": model.min_leaf,
-            "root": _node_to_dict(model.root),
+            "root": _tree_to_dict(model.root),
         }
     elif isinstance(model, NaiveBayesModel):
         doc = {

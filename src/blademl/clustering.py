@@ -341,14 +341,20 @@ def cut_dendrogram(
     return ClusterAssignment(labels, len(roots))
 
 
+# Characters that end or restructure an unquoted Newick name.
+_NEWICK_QUOTED = set("()[]':;,\n\r")
+
+
 def export_dendrogram(dg: Dendrogram, fmt: str = "text") -> str:
     """Render as an indented text tree or a Newick string.
 
     Text: two-space indent per level, `node <height>` lines for merges and
     `leaf <name>` lines, children ordered smaller-min-leaf first (the stored
     left/right order).  Newick: branch length = parent merge height - child
-    merge height (leaves sit at height 0), six decimals, `;`-terminated,
-    names passed through verbatim.
+    merge height (leaves sit at height 0), six decimals, `;`-terminated.
+    A Newick name that holds one of `( ) [ ] ' : ; ,` or a line break is
+    wrapped in single quotes with each inner `'` doubled; every other name,
+    and every name in the text tree, is written verbatim.
     """
     if fmt not in ("text", "newick"):
         raise ValueError("format must be text or newick")
@@ -372,7 +378,9 @@ def export_dendrogram(dg: Dendrogram, fmt: str = "text") -> str:
 
     # Newick bottom-up: a merge's children are complete before it, and
     # each subtree's text is consumed by its parent exactly once.
-    text = dict(enumerate(dg.leaf_names))
+    text = {i: "'" + name.replace("'", "''") + "'"
+               if _NEWICK_QUOTED.intersection(name) else name
+            for i, name in enumerate(dg.leaf_names)}
     height = dict.fromkeys(text, 0.0)
     for m in dg.merges:
         a, b = m.left, m.right

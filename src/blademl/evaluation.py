@@ -261,9 +261,10 @@ class ModelSpec:
 
 def train_folds(spec: ModelSpec, blocks: list, class_names: list[str]) -> list:
     """One model per training set of the (X, y) blocks, which cross_validate
-    makes of consecutive runs of folds; the networks of an mlp spec and the
-    one-vs-rest problems of a logreg spec each train in one lockstep loop.
-    A training error names `fold F`, F the set's number across the blocks."""
+    makes of consecutive runs of folds; the networks of an mlp spec train in
+    one lockstep loop, and the one-vs-rest problems of a logreg spec descend
+    as one stack per block.  A training error names `fold F`, F the set's
+    number across the blocks."""
     if spec.kind == "mlp":
         return classifiers.train_mlps(blocks, class_names, spec.config)
     if spec.kind == "logreg":

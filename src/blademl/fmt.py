@@ -16,8 +16,15 @@ def fmt17(x) -> str:
 
 
 def metadata_lines(metadata: dict | None) -> str:
-    """`# key: value` comment lines recording how an artefact was produced."""
-    return "".join(f"# {key}: {value}\n" for key, value in (metadata or {}).items())
+    """`# key: value` comment lines recording how an artefact was produced.
+    A value holding a line break, which would end its line early, raises
+    ValueError naming its key."""
+    lines = []
+    for key, value in (metadata or {}).items():
+        if {"\n", "\r"} & set(str(value)):
+            raise ValueError(f"metadata value of {key!r} holds a line break")
+        lines.append(f"# {key}: {value}\n")
+    return "".join(lines)
 
 
 def csv_line(cells, reals=()) -> str:
@@ -41,10 +48,11 @@ def csv_line(cells, reals=()) -> str:
 
 def write_csv(path, header, lines, metadata: dict | None = None) -> None:
     """Write metadata lines, the header row and the given csv_line lines
-    to path."""
+    to path.  The metadata is rendered, and checked, before path is
+    opened, so a bad value leaves an existing file whole."""
+    head = metadata_lines(metadata) + csv_line(header)
     with open(path, "w", newline="") as handle:
-        handle.write(metadata_lines(metadata))
-        handle.write(csv_line(header))
+        handle.write(head)
         handle.writelines(lines)
 
 
@@ -67,38 +75,49 @@ def iter_csv(path):
             raise ValueError(f"{path}: {exc} on {where}") from exc
 
 
-def render_json(obj, indent: int = 0) -> str:
+def render_json(obj) -> str:
     """Serialize a nested dict/list document with 17-significant-digit reals.
 
     The stock json module offers no control over float formatting, so this
-    renders the (small, fixed-schema) model documents directly.  json is
-    imported here, as no CLI stage writes a model document.
+    renders the (small, fixed-schema) model documents directly, from a
+    stack of pieces, so no recursion limit bounds a document's depth.  json
+    is imported here, as no CLI stage writes a model document.
     """
     import json
 
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key, value in obj.items():
-            items.append(f'{pad}  {json.dumps(key)}: {render_json(value, indent + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = [render_json(v, indent + 1) for v in obj]
-        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
-            return "[" + ", ".join(items) + "]"
-        return "[\n" + ",\n".join(f"{pad}  {s}" for s in items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError("cannot serialize non-finite value")
-        return fmt17(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"unsupported JSON value type: {type(obj).__name__}")
+    out = []
+    stack = [(obj, 0)]  # text to write, or a (value, depth) to render
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        value, depth = item
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError("cannot serialize non-finite value")
+            out.append(fmt17(value))
+            continue
+        if value is None or isinstance(value, (bool, int, str)):
+            out.append(json.dumps(value))
+            continue
+        if isinstance(value, dict):
+            items = [(json.dumps(key) + ": ", v) for key, v in value.items()]
+            start, end = "{", "}"
+        elif isinstance(value, (list, tuple)):
+            items = [("", v) for v in value]
+            start, end = "[", "]"
+        else:
+            raise TypeError(
+                f"unsupported JSON value type: {type(value).__name__}")
+        sep = ", "
+        # A dict, or a list holding a dict or list, puts each item on a line.
+        if items and (isinstance(value, dict) or any(
+                isinstance(v, (dict, list, tuple)) for _, v in items)):
+            pad = "  " * depth
+            start, sep, end = f"{start}\n{pad}  ", f",\n{pad}  ", f"\n{pad}{end}"
+        pieces = [start]
+        for i, (key, v) in enumerate(items):
+            pieces += [sep if i else "", key, (v, depth + 1)]
+        stack += reversed([*pieces, end])
+    return "".join(out)

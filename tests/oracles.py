@@ -841,7 +841,8 @@ def parse_newick(text: str):
     """Parse a Newick string into (topology, branch_length) nests.
 
     Leaves parse to (name, length); internal nodes to (children_tuple,
-    length).  Only the subset emitted by the package is supported.
+    length).  Only the subset emitted by the package is supported: a
+    label is verbatim, or single-quoted with each inner ' doubled.
     """
     text = text.strip()
     if not text.endswith(";"):
@@ -860,6 +861,16 @@ def parse_newick(text: str):
                 raise ValueError(f"expected ')' at {pos}")
             pos += 1
             payload = tuple(children)
+        elif text[pos] == "'":
+            # A quoted label: '' stands for one ' inside it.
+            pieces = []
+            while True:
+                end = text.index("'", pos + 1)
+                pieces.append(text[pos + 1:end])
+                pos = end + 1
+                if text[pos] != "'":
+                    break
+            payload = "'".join(pieces)
         else:
             start = pos
             while text[pos] not in ":,();":

@@ -410,6 +410,11 @@ def test_tree_grows_deeper_than_the_recursion_limit():
             stack += [(node.left, level + 1), (node.right, level + 1)]
     assert depth >= 1000
     assert np.array_equal(model.predict_proba(X).argmax(axis=1), y)
+    # The export has no depth limit either.  json.loads cannot check it:
+    # the C decoder stops at the same recursion limit.
+    text = model_to_json(model)
+    assert text.count('"left"') == text.count('"right"') == n - 1
+    assert text.count('"probs"') == n and text.endswith("\n}\n")
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -777,6 +777,31 @@ def test_failed_stage_keeps_existing_output(pipeline, tmp_path, monkeypatch,
     assert capsys.readouterr().err.count("error: ") == 3
 
 
+def test_metadata_line_break_exit_1(pipeline, tmp_path, capsys):
+    # A `# key: value` line ends at the first line break, so a flag value
+    # holding one would split it and break the artefact's layout.
+    images = tmp_path / "co\nrp"
+    images.symlink_to(pipeline / "images")
+    feats, reports = tmp_path / "f.csv", tmp_path / "reports"
+    reports.mkdir()
+    for path in (feats, reports / "report.csv"):
+        path.write_text("kept\n")
+    for out in (tmp_path / "new" / "f.csv", feats):
+        assert run("features", "--images", images, "--labels",
+                   images / "labels.csv", "--out", out) == 1
+        assert "metadata value of 'images' holds a line break" in \
+            capsys.readouterr().err
+    for out in (tmp_path / "new", reports):
+        assert run("evaluate", "--features", pipeline / "features.csv",
+                   "--out-dir", out, "--k", 2, "--models", "nb\n") == 1
+        assert "metadata value of 'models' holds a line break" in \
+            capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        [images.name, feats.name, reports.name])
+    assert os.listdir(reports) == ["report.csv"]
+    assert feats.read_text() == (reports / "report.csv").read_text() == "kept\n"
+
+
 def test_interrupted_stage_removes_fresh_output(pipeline, tmp_path,
                                                 monkeypatch):
     def interrupt(*args, **kwargs):

@@ -131,6 +131,9 @@ def test_distance_validation():
         DistanceMatrix(3, np.array([1.0, 2.0]), "euclidean", False)
     with pytest.raises(ValueError):
         DistanceMatrix(2, np.array([-1.0]), "euclidean", False)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DistanceMatrix(2, np.array([bad]), "euclidean", False)
 
 
 def test_distance_full_matrix_keeps_signed_zeros():
@@ -466,6 +469,21 @@ def test_newick_names_verbatim():
     dg = agglomerate(d, "average", ["Blade 3", "Blade 5.jpg"])
     out = export_dendrogram(dg, "newick")
     assert out == "(Blade 3:2.000000,Blade 5.jpg:2.000000);"
+
+
+def test_newick_quotes_names_with_metacharacters():
+    names = ["a,b", "c(d)", "e:f", "g h", "it's", "x;y[z]", "two\nlines"]
+    d = DistanceMatrix(len(names), np.arange(1.0, 22.0), "euclidean", False)
+    out = export_dendrogram(agglomerate(d, "average", names), "newick")
+    assert "'a,b'" in out and "'it''s'" in out and "g h:" in out
+    leaves, stack = [], [parse_newick(out)]
+    while stack:
+        payload, _ = stack.pop()
+        if isinstance(payload, tuple):
+            stack += payload
+        else:
+            leaves.append(payload)
+    assert sorted(leaves) == sorted(names)
 
 
 def test_newick_reparses_ultrametric():

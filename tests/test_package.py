@@ -72,6 +72,19 @@ def test_csv_is_written_in_fmt_alone():
     assert found == []
 
 
+def test_no_function_calls_itself():
+    # A recursive walk fails on input deeper than Python's recursion limit
+    # (a chained tree or dendrogram is as deep as it has rows), so every
+    # walk over a tree or document keeps its own stack.
+    found = [f"{name}:{call.lineno}: {node.name}"
+             for name, node in _package_nodes()
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for call in ast.walk(node)
+             if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Name) and call.func.id == node.name]
+    assert found == []
+
+
 def _fresh_python(script, env=None):
     """stdout of `script` run by a fresh interpreter that imports the
     package from this source tree."""
