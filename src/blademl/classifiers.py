@@ -539,9 +539,10 @@ def _activate(z, kind):
 
 
 def _activation_grad(z, a, kind):
-    # Derivative expressed from pre-activation z and activation a.
+    # Derivative expressed from pre-activation z and activation a; relu's
+    # bool mask multiplies as 1.0 and 0.0.
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0
     if kind == "sigmoid":
         return a * (1.0 - a)
     return 1.0 - a ** 2
@@ -562,60 +563,62 @@ def init_mlp(
     return MlpModel(class_names, list(layer_sizes), weights, biases, activation)
 
 
-# Networks train and backpropagate as stacks: weights[l] has shape
-# (m, out, in), and biases and activations are column stacks (m, size, 1).
-# np.matmul makes one BLAS gemv per network, the same call as an unstacked
-# W @ a, and every other op is elementwise or reduces within one network,
-# so each network in a stack gets exactly the bits it would get alone.
+# Networks train and backpropagate as stacks: params lists the weight
+# stacks (m, out, in), then the bias stacks (m, out, 1), and activations
+# are column stacks (m, size, 1).  np.matmul makes one BLAS gemv per
+# network, the same call as an unstacked W @ a, and every other op is
+# elementwise or reduces within one network, so each network in a stack
+# gets exactly the bits it would get alone.
 
 
-def _stack_forward(weights, biases, x, kind):
+def _stack_forward(params, x, kind):
     """Layer inputs, hidden pre-activations and softmax outputs (row max
     subtracted for stability) of a stack for the column stack `x`."""
+    layers = len(params) // 2
     activations = [x]
     pre_activations = []
     a = x
-    for l in range(len(weights) - 1):
-        z = weights[l] @ a + biases[l]
+    for l in range(layers - 1):
+        z = params[l] @ a + params[layers + l]
         a = _activate(z, kind)
         pre_activations.append(z)
         activations.append(a)
-    z = weights[-1] @ a + biases[-1]
+    z = params[layers - 1] @ a + params[-1]
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return activations, pre_activations, e / e.sum(axis=1, keepdims=True)
 
 
-def _stack_gradients(weights, activations, pre_activations, delta, l2, kind):
+def _stack_gradients(params, forward, target, penalties, grads, kind):
     """Backpropagate the output delta (softmax output minus one-hot target)
-    through a stack; each weight gradient adds the l2 * W penalty term."""
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
-    for l in range(len(weights) - 1, -1, -1):
-        grads_w[l] = delta * activations[l].transpose(0, 2, 1)
-        grads_w[l] += l2 * weights[l]
-        grads_b[l] = delta
+    of `forward`, params' `_stack_forward` result, into `grads`, buffers
+    laid out as params.  Each weight gradient adds its entry of
+    `penalties`, l2 * W; entries past the weights are not read."""
+    layers = len(params) // 2
+    activations, pre, probs = forward
+    delta = np.subtract(probs, target, out=grads[-1])
+    for l in range(layers - 1, -1, -1):
+        np.multiply(delta, activations[l].transpose(0, 2, 1), out=grads[l])
+        grads[l] += penalties[l]
         if l > 0:
-            delta = (weights[l].transpose(0, 2, 1) @ delta) * _activation_grad(
-                pre_activations[l - 1], activations[l], kind
-            )
-    return grads_w, grads_b
+            slope = _activation_grad(pre[l - 1], activations[l], kind)
+            delta = np.multiply(params[l].transpose(0, 2, 1) @ delta,
+                                slope, out=grads[layers + l - 1])
 
 
 def _sample_forward(model: MlpModel, x):
-    """`model`'s weights as a one-network stack of views, and that stack's
-    `_stack_forward` outputs for the single sample x."""
-    weights = [w[None] for w in model.weights]
-    biases = [b[None, :, None] for b in model.biases]
+    """`model`'s parameters as a one-network stack of views, and that
+    stack's `_stack_forward` result for the single sample x."""
+    params = [w[None] for w in model.weights]
+    params += [b[None, :, None] for b in model.biases]
     x = np.asarray(x, dtype=np.float64)
-    return weights, *_stack_forward(weights, biases, x[None, :, None],
-                                    model.activation)
+    return params, _stack_forward(params, x[None, :, None], model.activation)
 
 
 def mlp_loss(model: MlpModel, x, class_index: int, l2: float) -> float:
     """Per-sample objective: cross-entropy of the softmax output plus
     (l2 / 2) * sum of squared weights (biases unpenalized)."""
-    *_, probs = _sample_forward(model, x)
+    probs = _sample_forward(model, x)[1][-1]
     p = probs[0, class_index, 0]
     ce = -math.log(float(np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)))
     penalty = 0.5 * l2 * sum(float((w ** 2).sum()) for w in model.weights)
@@ -629,13 +632,13 @@ def mlp_gradients(model: MlpModel, x, class_index: int, l2: float):
     deltas chain through the activation derivative; each weight gradient
     adds the l2 * W penalty term.
     """
-    weights, activations, pre_activations, probs = _sample_forward(model, x)
-    delta = probs.copy()
-    delta[0, class_index, 0] -= 1.0
-    grads_w, grads_b = _stack_gradients(
-        weights, activations, pre_activations, delta, l2, model.activation
-    )
-    return [g[0] for g in grads_w], [g[0, :, 0] for g in grads_b]
+    params, forward = _sample_forward(model, x)
+    target = np.eye(len(model.class_names))[None, :, class_index, None]
+    grads = [np.empty_like(p) for p in params]
+    _stack_gradients(params, forward, target, [l2 * p for p in params],
+                     grads, model.activation)
+    layers = len(model.weights)
+    return [g[0] for g in grads[:layers]], [g[0, :, 0] for g in grads[layers:]]
 
 
 def cross_entropy_loss(predicted, actual: str, class_names: list[str]) -> float:
@@ -680,8 +683,9 @@ def train_mlps(
     `blocks` are (X, y) pairs as for train_logistics.  Each network trains
     exactly as it would alone: seeded init, per-epoch Fisher-Yates shuffle
     from the same SplitMix64 stream, one backprop update per row.  Every
-    step updates all networks that still have a row left in the current
-    epoch with one batched op per layer.  The weights are checked once per
+    step backpropagates all networks that still have a row left in the
+    current epoch as one stack, and updates every network's parameters in
+    one flat buffer with two calls.  The weights are checked once per
     epoch: a non-finite value raises ValueError naming the epoch and the
     first diverged training set as `fold F`, F its number across the blocks.
     """
@@ -711,8 +715,19 @@ def train_mlps(
     segments = [(sum(n >= stop for n in counts), start, stop)
                 for start, stop in zip([0, *stops], stops)]
 
-    weights = [np.repeat(w[None], k, axis=0) for w in init.weights]
-    biases = [np.repeat(b[None, :, None], k, axis=0) for b in init.biases]
+    # Parameters P, gradients G and l2 * P are flat buffers laid out as
+    # params: the weight stacks (k, out, in), then the bias stacks
+    # (k, out, 1).  Each step writes the gradients of slots [:m] into G.
+    shapes = [(k, *w.shape) for w in init.weights]
+    shapes += [(k, len(b), 1) for b in init.biases]
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    P, G, penalty = (np.zeros(ends[-1]) for _ in range(3))
+    params, grads, penalties = (
+        [v.reshape(s) for v, s in zip(np.split(flat, ends[:-1]), shapes)]
+        for flat in (P, G, penalty))
+    for p, v in zip(params, init.weights + init.biases):
+        p[:] = v.reshape(p.shape[1:])
+    weights, biases = params[:len(hidden) + 1], params[len(hidden) + 1:]
     # inputs[t, s] and targets[t, s] hold slot s's row at step t of an epoch.
     inputs = np.zeros((counts[0], k, sizes[0], 1))
     targets = np.zeros((counts[0], k, len(class_names), 1))
@@ -726,22 +741,21 @@ def train_mlps(
                 inputs[:counts[slot], slot, :, 0] = X[rows]
                 targets[:counts[slot], slot, :, 0] = onehot[y[rows]]
             for m, start, stop in segments:
-                ws = [w[:m] for w in weights]
-                bs = [b[:m] for b in biases]
+                # Slots [m:] are finished: their all-zero gradient rows
+                # keep their parameters' bits (x - +0.0 is x).
+                for g in grads:
+                    g[m:] = 0.0
+                ps, gs, pens = ([v[:m] for v in vs]
+                                for vs in (params, grads, penalties))
                 steps = zip(inputs[start:stop, :m], targets[start:stop, :m])
                 for x, target in steps:
-                    activations, pre_activations, probs = _stack_forward(
-                        ws, bs, x, activation
-                    )
-                    grads_w, grads_b = _stack_gradients(
-                        ws, activations, pre_activations, probs - target, l2,
-                        activation,
-                    )
-                    for p, g in zip(ws + bs, grads_w + grads_b):
-                        g *= rate
-                        p -= g
+                    np.multiply(l2, P, out=penalty)
+                    forward = _stack_forward(ps, x, activation)
+                    _stack_gradients(ps, forward, target, pens, gs, activation)
+                    G *= rate
+                    P -= G
             finite = np.ones(k, dtype=bool)
-            for p in (*weights, *biases):
+            for p in params:
                 finite &= np.isfinite(p).all(axis=(1, 2))
             if not finite.all():
                 fold = min(order[s] for s in np.flatnonzero(~finite))

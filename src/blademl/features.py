@@ -198,9 +198,9 @@ def read_features_csv(path, value_columns: bool = True) -> FeatureMatrix:
     error names the file and, where it has one, the data row or rows or
     the column: a header that does not start with id,label, names no value
     column or repeats a column name; no data rows; a row whose cell count
-    differs from the header's; a missing or repeated id; a non-numeric or
-    non-finite cell; a column of n rows holding a magnitude M with
-    8 n M^2 at or above the largest double.
+    differs from the header's; a missing or repeated id, or one holding a
+    line break; a non-numeric or non-finite cell; a column of n rows
+    holding a magnitude M with 8 n M^2 at or above the largest double.
     """
     rows = iter_csv(path)
     header = next(rows, None)
@@ -224,6 +224,8 @@ def read_features_csv(path, value_columns: bool = True) -> FeatureMatrix:
             )
         if not row[0]:
             raise ValueError(f"{path}: missing id on data row {i}")
+        if "\n" in row[0] or "\r" in row[0]:
+            raise ValueError(f"{path}: id on data row {i} holds a line break")
         if first_row.setdefault(row[0], i) != i:
             raise ValueError(f"{path}: duplicate id {row[0]!r} on data rows "
                              f"{first_row[row[0]]} and {i}")

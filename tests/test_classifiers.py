@@ -598,10 +598,13 @@ def test_mlp_forward_validation():
         _predict_row(_mlp_2_2_2(), [1.0])
 
 
-def test_mlp_gradients_match_finite_differences():
-    # Smooth activation so central differences are clean everywhere.
+# Smooth activations, so central differences are clean everywhere.
+@pytest.mark.parametrize("activation,sizes", [
+    ("tanh", [3, 4, 2]), ("sigmoid", [3, 4, 2]), ("tanh", [3, 4, 3, 2]),
+], ids=["tanh", "sigmoid", "tanh-two-hidden"])
+def test_mlp_gradients_match_finite_differences(activation, sizes):
     rng = SplitMix64(17)
-    model = init_mlp(["a", "b"], [3, 4, 2], "tanh", rng)
+    model = init_mlp(["a", "b"], sizes, activation, rng)
     x = np.array([0.4, -1.2, 0.7])
     l2 = 0.01
     h = 1e-5
@@ -718,20 +721,33 @@ def _per_sample_reference(ds, cfg):
     return model
 
 
-@pytest.mark.parametrize("activation,hidden", [
-    ("relu", (5,)), ("sigmoid", (5,)), ("tanh", (5,)), ("relu", (5, 4)),
+# Unequal row counts, one repeated, in no particular order.
+LOCKSTEP_ROWS = (range(0, 20), range(20, 39), range(3, 20), range(10, 30))
+
+
+@pytest.mark.parametrize("activation,hidden,l2,row_sets", [
+    pytest.param("relu", (5,), 1e-3, LOCKSTEP_ROWS, id="relu-hidden0"),
+    pytest.param("sigmoid", (5,), 1e-3, LOCKSTEP_ROWS, id="sigmoid-hidden1"),
+    pytest.param("tanh", (5,), 1e-3, LOCKSTEP_ROWS, id="tanh-hidden2"),
+    pytest.param("relu", (5, 4), 1e-3, LOCKSTEP_ROWS, id="relu-hidden3"),
+    # No penalty: every weight gradient adds 0 * W.
+    pytest.param("relu", (5,), 0.0, LOCKSTEP_ROWS, id="l2-0"),
+    # The one-row set finishes each epoch after its first step, so its slot
+    # sits through two later segments with all-zero gradient rows.
+    pytest.param("relu", (5, 4), 1e-3, (range(0, 20), range(39, 40),
+                                        range(3, 20), range(10, 30)),
+                 id="one-row-set"),
 ])
-def test_train_mlps_lockstep_matches_solo(activation, hidden):
+def test_train_mlps_lockstep_matches_solo(activation, hidden, l2, row_sets):
     u = _uniforms(61, 40 * 3)
     X = (np.array(u).reshape(40, 3) - 0.5) * 4.0
-    labels = ["a", "b", "c", "d"] * 10
-    # Unequal row counts, one repeated, in no particular order.
-    sets = [_dataset(X[rows], labels[:len(rows)]) for rows in (
-        range(0, 20), range(20, 39), range(3, 20), range(10, 30),
-    )]
-    cfg = TrainConfig(learning_rate=0.05, limit=4, l2=1e-3, hidden=hidden,
+    classes = ["a", "b", "c", "d"]
+    labels = classes * 10
+    sets = [LabeledDataset(_dataset(X[rows], labels[:len(rows)]).matrix,
+                           classes) for rows in row_sets]
+    cfg = TrainConfig(learning_rate=0.05, limit=4, l2=l2, hidden=hidden,
                       activation=activation, seed=8)
-    lockstep = train_mlps(_blocks(sets), ["a", "b", "c", "d"], cfg)
+    lockstep = train_mlps(_blocks(sets), classes, cfg)
     for ds, model in zip(sets, lockstep):
         text = model_to_json(model)
         assert text == model_to_json(train_mlp(ds, cfg))

@@ -590,6 +590,10 @@ def bad(tmp_path_factory):
     # Each defect once, in a file that every reader (labels.csv too) reads
     # up to it.
     (root / "missing-id.csv").write_text("id,label,c0\nr0,a,1\n,b,2\n")
+    # A quoted id may hold a line break, which would split its leaf's line
+    # in dendrogram.txt.
+    (root / "id-line-break.csv").write_text(
+        'id,label,c0\nr0,a,1\n"two\nlines",b,2\nr2,a,3\n')
     (root / "dup-id.csv").write_text("id,label,c0\nr0,a,1\nr1,b,2\nr0,a,3\n")
     (root / "short-row.csv").write_text("id,label,c0\nr0,a,1\nr1,b\n")
     (root / "non-numeric.csv").write_text("id,label,c0\nr0,a,1\nr1,b,x\n")
@@ -709,6 +713,7 @@ EXIT_CASES = [
 # with the same message, naming the file and the row or rows, in each stage.
 READ_DEFECTS = [
     ("missing-id", "missing id on data row 2"),
+    ("id-line-break", "id on data row 2 holds a line break"),
     ("dup-id", "duplicate id 'r0' on data rows 1 and 3"),
     ("short-row", "wrong column count on data row 2 (2 cells, expected 3)"),
     ("non-numeric", "non-numeric value on data row 2"),
@@ -725,7 +730,7 @@ EXIT_CASES += [
      f"error: {{bad}}/{defect}.csv: {message}\n")
     for stage, argv, defects in [
         ("features", ("features", "--images", "{bad}", "--out", "{csv}",
-                      "--labels"), READ_DEFECTS[:5]),
+                      "--labels"), READ_DEFECTS[:6]),
         ("evaluate", EVALUATE + ("--features",), READ_DEFECTS),
         ("cluster", CLUSTER + ("--features",), READ_DEFECTS),
     ]

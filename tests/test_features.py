@@ -317,6 +317,10 @@ def test_features_csv_rejects_malformed(tmp_path):
     path.write_text("id,label,c0\nr0,a,1\n,b,2\n")
     with pytest.raises(ValueError, match=r"bad\.csv: missing id on data row 2"):
         read_features_csv(path)
+    path.write_text('id,label,c0\nr0,a,1\n"r\r1",b,2\n')
+    with pytest.raises(ValueError, match=r"bad\.csv: id on data row 2 holds a "
+                                         r"line break"):
+        read_features_csv(path, value_columns=False)
     path.write_text("id,label,c0\nr0,a,1\nr1,b,2\nr0,a,3\n")
     with pytest.raises(ValueError, match=r"bad\.csv: duplicate id 'r0' on data "
                                          r"rows 1 and 3"):
@@ -379,11 +383,18 @@ def test_csv_writers_round_trip_carriage_return(tmp_path):
     assert list(iter_csv(tmp_path / "plain.csv")) == [
         ["id", "n"], ["x\ry", "1"], ["b", "2"],
     ]
-    m = FeatureMatrix(ids, ["p\r", "q"], ["c0"], np.array([[1.0], [2.0]]))
+    m = FeatureMatrix(["a", "b"], ["p\r", "q"], ["c0"],
+                      np.array([[1.0], [2.0]]))
     write_features_csv(m, tmp_path / "features.csv")
     back = read_features_csv(tmp_path / "features.csv")
     assert (back.ids, back.labels) == (m.ids, m.labels)
     assert np.array_equal(back.values, m.values)
+    # An id holding `\r` reads back whole, and the features reader rejects it.
+    write_features_csv(FeatureMatrix(ids, None, ["c0"], m.values),
+                       tmp_path / "ids.csv")
+    assert [row[0] for row in iter_csv(tmp_path / "ids.csv")] == ["id", *ids]
+    with pytest.raises(ValueError, match="id on data row 1 holds a line break"):
+        read_features_csv(tmp_path / "ids.csv")
     write_distance_csv(pairwise_distances(m), ids, tmp_path / "distances.csv")
     rows = list(iter_csv(tmp_path / "distances.csv"))
     assert rows[0] == ["id", *ids]
