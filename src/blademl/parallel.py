@@ -4,10 +4,10 @@ Each stage's work splits into items that depend on nothing but their
 input: the images of `gen` and `features`, the fold halves of `evaluate`
 and the distance rows of `cluster`.  `split_map` hands every other item to
 one forked child, so a stage uses two CPUs, while this process keeps the
-item order and writes every file.  The results are the ones a plain `map`
-returns, so the bytes written do not depend on the CPU count.  The worker
-is forked, not spawned, because a spawned one would first spend about as
-long importing numpy as a stage spends on its items.
+item order and writes every file but gen's images, which its items write.
+The results are those of `map`, so the bytes written do not depend on the
+CPU count.  The worker is forked, not spawned: a spawned one would first
+spend about as long importing numpy as a stage spends on its items.
 """
 
 import contextlib
@@ -28,7 +28,7 @@ def split_map(fn, items):
     `pickle.load` reads exactly one.  If the child raises or dies, the
     stream ends, between two results or inside one, and this process
     computes every undelivered item itself, so an error is raised here,
-    exactly as `map` raises it.  The child only computes, leaves through
+    exactly as `map` raises it.  The child only runs fn, leaves through
     `os._exit` (no cleanup handler or `finally` of the caller runs in it),
     and is killed and reaped when the generator finishes, fails or is
     closed.

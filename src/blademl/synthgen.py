@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 
@@ -191,10 +190,12 @@ def generate_image(label: str, rng: SplitMix64, width: int, height: int) -> Rast
     return Raster(width, height, rgb.reshape(-1))
 
 
-def _ppm_bytes(cfg: GenConfig, job: tuple[int, str]) -> bytes:
-    index, label = job
+def _write_image(cfg: GenConfig, out_dir, job: tuple[int, tuple[str, str]]):
+    index, (name, label) = job
     child = SplitMix64(cfg.seed ^ index)
-    return write_ppm(generate_image(label, child, cfg.width, cfg.height))
+    data = write_ppm(generate_image(label, child, cfg.width, cfg.height))
+    with open(os.path.join(out_dir, name), "wb") as handle:
+        handle.write(data)
 
 
 def generate_dataset(cfg: GenConfig, out_dir) -> list[tuple[str, str]]:
@@ -202,9 +203,9 @@ def generate_dataset(cfg: GenConfig, out_dir) -> list[tuple[str, str]]:
 
     Files are named `<class>_<global index>.ppm` in P6 format.  Each image
     uses an independent child generator seeded as cfg.seed XOR its global
-    index.  Every other image renders in split_map's worker; this process
-    writes them all, in order.  Returns the (file name, label) pairs in
-    generation order.
+    index.  split_map's worker writes every other image, this process the
+    rest, then `labels.csv`; images a failed worker left unreported are
+    rewritten here.  Returns the (file name, label) pairs in order.
     """
     os.makedirs(out_dir, exist_ok=True)
     labels = [label for label, count in zip(CLASS_NAMES, cfg.counts)
@@ -212,11 +213,9 @@ def generate_dataset(cfg: GenConfig, out_dir) -> list[tuple[str, str]]:
     pad = max(3, len(str(len(labels) - 1)))
     entries = [(f"{label}_{index:0{pad}d}.ppm", label)
                for index, label in enumerate(labels)]
-    render = partial(_ppm_bytes, cfg)
-    with closing(split_map(render, enumerate(labels))) as images:
-        for (name, _), data in zip(entries, images):
-            with open(os.path.join(out_dir, name), "wb") as handle:
-                handle.write(data)
+    for _ in split_map(partial(_write_image, cfg, out_dir),
+                       enumerate(entries)):
+        pass
     metadata = {
         "counts": ",".join(str(c) for c in cfg.counts),
         "seed": cfg.seed,

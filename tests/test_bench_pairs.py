@@ -51,3 +51,46 @@ def test_summary_verdicts(bench_pairs):
     lower = bench_pairs.summarize(RSS, parent, [p - 0.5 for p in parent])
     assert lower["verdict"] == "within bound"
     assert lower["resolved_gain"]
+
+
+PIPELINE = {"name": "pipeline_s", "unit": "s", "better": "lower", "bound": 0.25}
+
+
+def test_pair_differences_see_a_gain_under_drift(bench_pairs):
+    # The host runs slow in pairs 1-5 and fast after; in pair 6 the change
+    # ran before the speed-up.  The change is 0.04 s faster in 9 of 10
+    # pairs, yet its median over runs is the higher one.
+    parent = [1.82, 1.80, 1.78, 1.81, 1.79, 1.42, 1.40, 1.41, 1.39, 1.43]
+    change = [p - 0.04 for p in parent]
+    change[5] = 1.83
+    got = bench_pairs.summarize(PIPELINE, parent, change)
+    assert got["change_lower_pairs"] == 9
+    assert got["change"]["median"] > got["parent"]["median"]
+    assert not got["resolved_gain"]
+    paired = got["pair_differences"]
+    assert paired["values"] == pytest.approx(
+        [c - p for p, c in zip(parent, change)], abs=1e-9)
+    assert [paired["q1"], paired["median"], paired["q3"]] == pytest.approx(
+        np.percentile(np.subtract(change, parent), [25, 50, 75]).tolist(),
+        abs=1e-4)
+    assert paired["median"] == pytest.approx(-0.04)
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("cluster-scale:42:0", "PAIRS must be >= 1"),
+    ("cluster-scale:-1:10", "SEED must be >= 0"),
+], ids=["no-pairs", "negative-seed"])
+def test_bad_set_exits_2_before_any_run(bench_pairs, monkeypatch, tmp_path,
+                                        capsys, spec, message):
+    def no_run(*args):
+        raise AssertionError("ran the benchmark")
+
+    monkeypatch.setattr(bench_pairs, "run_side", no_run)
+    monkeypatch.setattr(bench_pairs, "cpu_check", no_run)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as done:
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                          "--set", spec, "--out", str(out)])
+    assert done.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

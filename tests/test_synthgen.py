@@ -1,11 +1,14 @@
 """Synthetic corpus generator: determinism, file layout, class signal."""
 
 import hashlib
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blademl import synthgen
 from blademl.features import extract_features
 from blademl.raster import load_ppm
 from blademl.rng import SplitMix64
@@ -31,6 +34,7 @@ GOLDEN_SEEDS = range(100)
 # Faces outside the pinned sizes, checked against the scalar painters only:
 # a wide strip and a tall thin one, where strokes and discs reach the edges.
 ODD_SIZES = ((300, 40), (17, 250))
+PARENT = os.getpid()
 
 
 def generator_digests() -> dict:
@@ -155,6 +159,76 @@ def test_generate_dataset_reruns_byte_identical(tmp_path):
     assert names == sorted(p.name for p in b.iterdir())
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _KilledInsideWrite:
+    """A file whose write stores half of the bytes, then kills the process."""
+
+    def __init__(self, handle, marker):
+        self.handle, self.marker = handle, marker
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        self.handle.write(data[:len(data) // 2])
+        self.handle.flush()
+        self.marker.touch()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def test_killed_worker_leaves_every_image(monkeypatch, tmp_path, cpus):
+    # On two CPUs the worker dies inside its write of image 5, leaving that
+    # file cut short; this process must rewrite it and write 7, 9 and 11.
+    cfg = GenConfig((4, 4, 4), seed=3, width=32, height=32)
+    expected = tmp_path / "one-cpu"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    generate_dataset(cfg, expected)
+    marker = tmp_path / "killed"
+
+    def killing_open(path, mode):
+        handle = open(path, mode)
+        if os.getpid() != PARENT and path.endswith("crack_005.ppm"):
+            return _KilledInsideWrite(handle, marker)
+        return handle
+
+    monkeypatch.setattr(synthgen, "open", killing_open, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    out = tmp_path / "run"
+    generate_dataset(cfg, out)
+    assert marker.exists() == (len(cpus) > 1)
+    names = sorted(path.name for path in expected.iterdir())
+    assert sorted(path.name for path in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def test_image_path_that_is_a_directory_fails_as_on_one_cpu(
+    monkeypatch, tmp_path, cpus
+):
+    # Image 3 is an odd index, so on two CPUs the worker renders it first.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    out = tmp_path / "data"
+    blocked = out / "crack_003.ppm"
+    blocked.mkdir(parents=True)
+    with pytest.raises(IsADirectoryError) as failed:
+        generate_dataset(GenConfig((2, 4, 2), seed=1, width=16, height=16),
+                         out)
+    assert failed.value.filename == str(blocked)
+    assert str(blocked) in str(failed.value)
+    assert not (out / "labels.csv").exists()
+    _assert_no_child()
 
 
 def _features_for(label, seed, count=20):

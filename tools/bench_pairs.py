@@ -11,8 +11,9 @@ each checkout, the side that runs first alternating per pair.  Before each
 pair a fixed two-process CPU check runs.
 Per set and end-to-end metric the output holds each side's runs, median,
 quartiles (numpy's linear percentiles) and IQR, the pairs each side won,
-and a verdict against the metric's bound.  The JSON file is rewritten
-after every pair, so an interrupted run keeps what it measured.
+the per-pair differences (change - parent) with their median and
+quartiles, and a verdict against the metric's bound.  The JSON file is
+rewritten after every pair, so an interrupted run keeps what it measured.
 Nothing under either checkout is changed beyond what run.py writes there
 itself (`.perfbench_work/`, bytecode caches).
 """
@@ -62,6 +63,10 @@ NOTES = [
     "resolved_gain: the change read better in at least nine tenths of the "
     "pairs and its median differs from the parent's in the better direction "
     "by more than the parent's IQR.",
+    "pair_differences lists change minus parent for each pair, in pair "
+    "order, with the median and quartiles of those differences. Host drift "
+    "within a set moves both runs of a pair alike, so the paired median can "
+    "show a change that the medians over runs hide; no verdict uses it.",
 ]
 
 
@@ -129,6 +134,11 @@ def summarize(metric: dict, parent: list, change: list) -> dict:
     p_q1, p_med, p_q3 = stats["parent"]
     c_med = stats["change"][1]
     pairs = list(zip(parent, change))
+    differences = [c - p for p, c in pairs]
+    d_q1, d_med, d_q3 = quartiles(differences)
+    out["pair_differences"] = {
+        "median": round(d_med, 4), "q1": round(d_q1, 4), "q3": round(d_q3, 4),
+        "values": [round(d, 4) for d in differences]}
     lower_pairs = sum(c < p for p, c in pairs)
     higher_pairs = sum(c > p for p, c in pairs)
     sign = 1.0 if lower else -1.0
@@ -227,11 +237,16 @@ def machine() -> dict:
 def parse_set(text: str) -> tuple[str, int, int]:
     try:
         workload, seed, pairs = text.split(":")
-        return workload, int(seed), int(pairs)
+        seed, pairs = int(seed), int(pairs)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             "needs WORKLOAD:SEED:PAIRS, for example cluster-scale:42:10"
         ) from exc
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"SEED must be >= 0, got {seed}")
+    if pairs < 1:
+        raise argparse.ArgumentTypeError(f"PAIRS must be >= 1, got {pairs}")
+    return workload, seed, pairs
 
 
 def main(argv=None) -> int:
